@@ -28,7 +28,10 @@
 #      its overload-and-recovery soak drives the server into SLO shedding,
 #      hot-reloads it under load, and drains it, exiting non-zero if a
 #      batched response diverges from offline annotate, an accepted
-#      request is lost, or the server fails to recover after overload)
+#      request is lost, or the server fails to recover after overload;
+#      its idle-connection ladder fails the run if the server's threads
+#      burn CPU while holding 1k idle keep-alive sockets, or if a request
+#      after the ladder is not answered byte-equal)
 #
 # The build is fully offline: every external dependency is a vendored stub
 # under compat/, so no network access is required.

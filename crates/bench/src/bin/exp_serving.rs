@@ -29,6 +29,16 @@
 //! every 200 must match offline `extract` byte-for-byte, and no response
 //! may arrive malformed (`lost` stays zero) — violations exit non-zero.
 //!
+//! Last, an **idle-connection ladder** boots a fresh server and holds
+//! ever more kept-alive sockets open without traffic (100 and 1k under
+//! `--smoke`, up to 10k on full runs), from a child process so client and
+//! server descriptors do not share one `ulimit -n`. At each rung the CPU
+//! time of the server's `ner-serve-*` threads (from
+//! `/proc/self/task/*/stat`) per idle second must stay under
+//! [`IDLE_CPU_BOUND`]; after the ladder one request must be answered
+//! byte-equal to offline `extract`, and the server must drain promptly
+//! with every idle socket still open.
+//!
 //! Results land in `results/exp_serving.json` (with a run manifest) and,
 //! for the repo-level benchmark snapshot, `BENCH_serving.json`.
 
@@ -42,10 +52,21 @@ use ner_serve::{client, ServeConfig, ServeState, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 31;
+
+/// Most CPU seconds the server's threads may burn per second of holding
+/// idle keep-alive sockets. A readiness-driven server makes no wake-ups
+/// while nothing happens; a poll loop that re-probes every socket on a
+/// timer burns far more than this once it holds a thousand of them.
+const IDLE_CPU_BOUND: f64 = 0.02;
+
+/// Child-process mode: holds idle keep-alive connections for the ladder.
+const HOLD_IDLE_FLAG: &str = "--hold-idle";
 
 /// One cell of the grid.
 #[derive(Serialize)]
@@ -126,6 +147,30 @@ struct LoadPoint {
     shed_rate: f64,
 }
 
+/// One rung of the idle-connection ladder.
+#[derive(Serialize)]
+struct IdleRung {
+    /// Kept-alive sockets held open without traffic.
+    sockets: usize,
+    idle_s: f64,
+    /// CPU seconds of the server's `ner-serve-*` threads over the window.
+    server_cpu_s: f64,
+    cpu_per_idle_s: f64,
+}
+
+/// The idle-connection ladder verdict.
+#[derive(Serialize)]
+struct IdleLadder {
+    rungs: Vec<IdleRung>,
+    bound_cpu_per_idle_s: f64,
+    /// The request sent after the last rung was answered byte-equal to
+    /// offline `extract`.
+    answered_after: bool,
+    /// From `POST /admin/shutdown`, with every idle socket still open, to
+    /// `Server::run` returning.
+    shutdown_join_s: f64,
+}
+
 /// The soak harness verdict.
 #[derive(Serialize)]
 struct SoakReport {
@@ -164,6 +209,8 @@ struct Report {
     rows: Vec<ServingRow>,
     /// Latency-under-load ladder plus the overload-and-recovery arc.
     soak: SoakReport,
+    /// Server CPU while holding idle keep-alive sockets.
+    idle_ladder: IdleLadder,
     divergences: usize,
 }
 
@@ -602,7 +649,142 @@ fn run_soak(pipeline: NerPipeline, workload: &Workload, smoke: bool) -> SoakRepo
     }
 }
 
+/// CPU seconds used so far by this process's threads named `ner-serve-*`
+/// (the server's acceptor, poll shards and batcher dispatchers).
+fn server_thread_cpu_s() -> f64 {
+    // USER_HZ, the unit of the utime/stime fields, is 100 on Linux.
+    const TICKS_PER_S: f64 = 100.0;
+    let mut ticks = 0u64;
+    for task in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task").flatten() {
+        let Ok(stat) = std::fs::read_to_string(task.path().join("stat")) else { continue };
+        // `pid (comm) state ppid …`: comm may hold spaces, so split at
+        // the last ')'; utime and stime are fields 14 and 15.
+        let (Some(open), Some(close)) = (stat.find('('), stat.rfind(')')) else { continue };
+        if !stat[open + 1..close].starts_with("ner-serve") {
+            continue;
+        }
+        let fields: Vec<&str> = stat[close + 1..].split_whitespace().collect();
+        for field in [11, 12] {
+            ticks += fields.get(field).and_then(|f| f.parse::<u64>().ok()).unwrap_or(0);
+        }
+    }
+    ticks as f64 / TICKS_PER_S
+}
+
+/// Sends `GET /healthz` on a raw socket and returns the status — without
+/// a second descriptor, as [`client::Conn`] would take.
+fn healthz(stream: &TcpStream) -> std::io::Result<u16> {
+    let mut writer = stream;
+    writer.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")?;
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line)?;
+    let status = line.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let mut content_length = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 || line.trim_end().is_empty() {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().unwrap_or(0);
+        }
+    }
+    reader.read_exact(&mut vec![0u8; content_length])?;
+    Ok(status)
+}
+
+/// Child-process mode of the ladder. For each count read from stdin,
+/// opens connections to `addr` until that many are held — each answers
+/// one `GET /healthz`, so the server has adopted it and kept it alive —
+/// then prints `held <count>`. Exits, closing them all, at stdin EOF.
+fn hold_idle(addr: &str) {
+    let addr: SocketAddr = addr.parse().expect("--hold-idle takes a socket address");
+    let mut held: Vec<TcpStream> = Vec::new();
+    for line in std::io::stdin().lock().lines() {
+        let target: usize = line.expect("read stdin").trim().parse().expect("a socket count");
+        while held.len() < target {
+            let stream = TcpStream::connect(addr).expect("connect idle socket");
+            stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
+            let status = healthz(&stream).expect("healthz on idle socket");
+            assert_eq!(status, 200, "healthz answered {status}");
+            held.push(stream);
+        }
+        println!("held {}", held.len());
+    }
+}
+
+/// The idle-connection ladder: a fresh server holding ever more idle
+/// kept-alive sockets, with its threads' CPU measured at each rung.
+fn run_idle_ladder(pipeline: NerPipeline, workload: &Workload, smoke: bool) -> IdleLadder {
+    let rungs: &[usize] = if smoke { &[100, 1_000] } else { &[100, 1_000, 10_000] };
+    let window = if smoke { Duration::from_secs(2) } else { Duration::from_secs(5) };
+    let state = ServeState::new(pipeline, None, ServeConfig::default());
+    let server = Server::bind("127.0.0.1:0", state).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    // Named like the server's own threads, so the CPU gate counts the
+    // acceptor that runs on it.
+    let server_thread = std::thread::Builder::new()
+        .name("ner-serve-accept".into())
+        .spawn(move || server.run().expect("server run"))
+        .expect("spawn server thread");
+
+    let mut holder = Command::new(std::env::current_exe().expect("own executable path"))
+        .args([HOLD_IDLE_FLAG, &addr.to_string()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn idle-socket holder");
+    let mut to_holder = holder.stdin.take().expect("holder stdin");
+    let mut from_holder = BufReader::new(holder.stdout.take().expect("holder stdout")).lines();
+
+    let mut measured = Vec::new();
+    for &sockets in rungs {
+        writeln!(to_holder, "{sockets}").expect("command holder");
+        let reply = from_holder.next().expect("holder reply").expect("read holder");
+        assert_eq!(reply, format!("held {sockets}"), "holder failed to open its sockets");
+        let cpu0 = server_thread_cpu_s();
+        let started = Instant::now();
+        std::thread::sleep(window);
+        let idle_s = started.elapsed().as_secs_f64();
+        let server_cpu_s = server_thread_cpu_s() - cpu0;
+        let rung =
+            IdleRung { sockets, idle_s, server_cpu_s, cpu_per_idle_s: server_cpu_s / idle_s };
+        ner_obs::info(format!(
+            "idle ladder: {} sockets, {:.3} server CPU-s over {:.1} s idle",
+            rung.sockets, rung.server_cpu_s, rung.idle_s
+        ));
+        measured.push(rung);
+    }
+
+    let body = format!("{{\"text\": \"{}\"}}", workload.texts[0].replace('"', "\\\""));
+    let answered_after = client::post(addr, "/v1/extract", &body).is_ok_and(|resp| {
+        resp.status == 200
+            && serde_json::from_str::<Value>(&resp.body).is_ok_and(|v| v == workload.expected[0])
+    });
+
+    let shutdown_started = Instant::now();
+    let resp = client::post(addr, "/admin/shutdown", "").expect("shutdown");
+    assert_eq!(resp.status, 200);
+    server_thread.join().expect("server drains and exits");
+    let shutdown_join_s = shutdown_started.elapsed().as_secs_f64();
+    drop(to_holder);
+    holder.wait().expect("holder exits");
+
+    IdleLadder {
+        rungs: measured,
+        bound_cpu_per_idle_s: IDLE_CPU_BOUND,
+        answered_after,
+        shutdown_join_s,
+    }
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(pos) = args.iter().position(|a| a == HOLD_IDLE_FLAG) {
+        hold_idle(args.get(pos + 1).expect("--hold-idle needs an address"));
+        return;
+    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let scale = if smoke { Scale::Quick } else { Scale::from_args() };
     init_harness("exp_serving", SEED, scale);
@@ -801,6 +983,29 @@ fn main() {
         soak.recovered, soak.reloads, soak.lost_total, soak.divergences
     );
 
+    let (_, idle_pipeline) = build();
+    let idle_ladder = run_idle_ladder(idle_pipeline, &workload, smoke);
+    print_table(
+        "idle-connection ladder (server threads' CPU while holding idle keep-alives)",
+        &["sockets", "idle s", "server CPU-s", "CPU-s per idle s"],
+        &idle_ladder
+            .rungs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.sockets.to_string(),
+                    format!("{:.1}", r.idle_s),
+                    format!("{:.3}", r.server_cpu_s),
+                    format!("{:.4}", r.cpu_per_idle_s),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    println!(
+        "\nidle ladder: bound {} CPU-s per idle s, answered after = {}, shutdown joined in {:.2} s",
+        idle_ladder.bound_cpu_per_idle_s, idle_ladder.answered_after, idle_ladder.shutdown_join_s
+    );
+
     let report = Report {
         experiment: "exp_serving".into(),
         description: "Closed-loop load test of the ner-serve micro-batching server: req/s and latency percentiles over max_batch x client-thread grid, plus a soak harness (latency-under-load ladder, overload-and-recovery arc, reload and shutdown under live traffic); every response checked against offline extract".into(),
@@ -812,6 +1017,7 @@ fn main() {
         stage_percentiles,
         rows,
         soak,
+        idle_ladder,
         divergences,
     };
     let path = write_report("exp_serving", &report);
@@ -840,6 +1046,23 @@ fn main() {
     }
     if report.soak.reloads == 0 {
         failures.push("mid-sustain reload did not complete".into());
+    }
+    for rung in &report.idle_ladder.rungs {
+        if rung.cpu_per_idle_s > IDLE_CPU_BOUND {
+            failures.push(format!(
+                "holding {} idle sockets cost {:.4} server CPU-s per idle s (bound {IDLE_CPU_BOUND})",
+                rung.sockets, rung.cpu_per_idle_s
+            ));
+        }
+    }
+    if !report.idle_ladder.answered_after {
+        failures.push("the request after the idle ladder was not answered byte-equal".into());
+    }
+    if report.idle_ladder.shutdown_join_s > 10.0 {
+        failures.push(format!(
+            "shutdown with idle sockets open took {:.1} s to join",
+            report.idle_ladder.shutdown_join_s
+        ));
     }
     if !failures.is_empty() {
         for f in &failures {

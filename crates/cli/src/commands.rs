@@ -174,7 +174,6 @@ pub fn serve(raw: Vec<String>) -> CmdResult {
             "ckpt",
             "addr",
             "max-batch",
-            "max-wait-us",
             "queue-cap",
             "timeout-ms",
             "slo-ms",
@@ -193,9 +192,6 @@ pub fn serve(raw: Vec<String>) -> CmdResult {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let config = ner_serve::ServeConfig {
         max_batch: a.get_parsed("max-batch", defaults.max_batch)?,
-        max_wait: std::time::Duration::from_micros(
-            a.get_parsed("max-wait-us", defaults.max_wait.as_micros() as u64)?,
-        ),
         queue_cap: a.get_parsed("queue-cap", defaults.queue_cap)?,
         request_timeout: std::time::Duration::from_millis(
             a.get_parsed("timeout-ms", defaults.request_timeout.as_millis() as u64)?,

@@ -1,7 +1,8 @@
 //! The dynamic micro-batcher, sharded across pipeline replicas.
 //!
-//! Poll-loop shards [`submit`](Batcher::submit) raw texts onto a bounded
-//! queue and receive a per-request reply channel. One dispatcher thread
+//! Poll shards [`submit`](Batcher::submit) raw texts onto a bounded
+//! queue and receive a per-request reply channel; once a reply is sent,
+//! the dispatcher wakes the submitting shard. One dispatcher thread
 //! per pipeline replica drains up to `max_batch` requests the moment it is
 //! free to score — batches widen work-conservingly, from requests that
 //! accumulate while previous batches score, never by holding an idle
@@ -34,6 +35,7 @@
 //!   can never slip a request into the queue after the last dispatcher
 //!   has decided it is empty (the accepted-but-never-answered race).
 
+use crate::epoll::Wake;
 use crate::state::ServeState;
 use ner_core::plan::stage;
 use ner_obs::trace::TraceCtx;
@@ -80,6 +82,21 @@ struct Pending {
     /// The owning request's trace, when the caller wants queue-wait and
     /// per-stage scoring timings attributed to it.
     trace: Option<TraceCtx>,
+    /// The submitting poll shard's wake handle for this connection.
+    wake: Option<Wake>,
+}
+
+impl Pending {
+    /// Sends the outcome, then wakes the submitting shard so it polls the
+    /// reply. A send error means the client already gave up (e.g. it
+    /// disconnected and the shard dropped the receiver); the outcome is
+    /// simply dropped.
+    fn answer(self, outcome: Outcome) {
+        let _ = self.reply.send(outcome);
+        if let Some(wake) = &self.wake {
+            wake.wake();
+        }
+    }
 }
 
 struct Shared {
@@ -165,18 +182,21 @@ impl Batcher {
         text: String,
         deadline: Instant,
     ) -> Result<mpsc::Receiver<Outcome>, SubmitError> {
-        self.submit_traced(text, deadline, None)
+        self.submit_traced(text, deadline, None, None)
     }
 
-    /// [`submit`](Batcher::submit) with a request trace attached: the
-    /// dispatcher records the entry's queue wait and batch id/size on it,
-    /// and installs it while the text scores so the `infer.*` stage
-    /// timings attribute to the owning request.
-    pub fn submit_traced(
+    /// [`submit`](Batcher::submit) with a request trace and a wake handle
+    /// attached. The dispatcher records the entry's queue wait and batch
+    /// id/size on the trace, and installs it while the text scores so the
+    /// `infer.*` stage timings attribute to the owning request. Once the
+    /// reply is sent it fires `wake`, so the submitting poll shard steps
+    /// the connection without polling for it.
+    pub(crate) fn submit_traced(
         &self,
         text: String,
         deadline: Instant,
         trace: Option<TraceCtx>,
+        wake: Option<Wake>,
     ) -> Result<mpsc::Receiver<Outcome>, SubmitError> {
         let (reply, rx) = mpsc::sync_channel(1);
         {
@@ -208,7 +228,14 @@ impl Batcher {
                     return Err(SubmitError::Overloaded(wait));
                 }
             }
-            queue.push_back(Pending { text, enqueued: Instant::now(), deadline, reply, trace });
+            queue.push_back(Pending {
+                text,
+                enqueued: Instant::now(),
+                deadline,
+                reply,
+                trace,
+                wake,
+            });
             ner_obs::gauge("serve.queue_depth", queue.len() as f64);
         }
         self.shared.arrived.notify_one();
@@ -269,11 +296,10 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
                         // this same lock: nothing accepted can be lost.
                         return;
                     }
-                    let (q, _) = shared
-                        .arrived
-                        .wait_timeout(queue, cfg.max_wait.max(std::time::Duration::from_millis(5)))
-                        .unwrap_or_else(|e| e.into_inner());
-                    queue = q;
+                    // The queue and `stop` are checked under this lock,
+                    // and every push or stop is made under it and then
+                    // notified: no wake-up can be missed, so no timer.
+                    queue = shared.arrived.wait(queue).unwrap_or_else(|e| e.into_inner());
                     continue;
                 }
                 let n = queue.len().min(cfg.max_batch);
@@ -308,7 +334,7 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
         }
         for p in expired {
             ner_obs::counter("serve.timeouts", 1.0);
-            let _ = p.reply.send(Outcome::TimedOut);
+            p.answer(Outcome::TimedOut);
         }
         if live.is_empty() {
             continue;
@@ -345,10 +371,7 @@ fn dispatch_loop(shared: Arc<Shared>, replica: usize) {
                 done.duration_since(pending.enqueued).as_secs_f64() * 1e6,
             );
             ner_obs::counter("serve.requests", 1.0);
-            // A send error means the client already gave up (e.g. it
-            // disconnected and the poll loop dropped the receiver); the
-            // result is simply dropped.
-            let _ = pending.reply.send(Outcome::Scored(sentence));
+            pending.answer(Outcome::Scored(sentence));
         }
     }
 }
@@ -564,11 +587,7 @@ mod tests {
 
     #[test]
     fn batched_results_match_individual_extraction() {
-        let state = state_with(ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(20),
-            ..ServeConfig::default()
-        });
+        let state = state_with(ServeConfig { max_batch: 8, ..ServeConfig::default() });
         let batcher = Batcher::start(Arc::clone(&state));
         let texts: Vec<String> =
             (0..8).map(|i| format!("Bob visited office number {i} in London .")).collect();

@@ -5,18 +5,23 @@
 //! [`Checkpoint`](ner_core::persist::Checkpoint) and serves it over a
 //! dependency-free HTTP/1.1 server built on `std::net` alone.
 //!
-//! ## The sharded poll loop
+//! ## Readiness-driven sharded I/O
 //!
-//! Connections are not threads. An acceptor deals sockets round-robin to
-//! a fixed set of `poll_shards` I/O threads; each shard drives its
-//! connections with nonblocking reads and writes, feeding bytes to a
-//! per-connection incremental [`http::RequestParser`] and writing
-//! pipelined responses in request order. A slow client costs a buffer,
-//! not a blocked thread; a client that dribbles one request past
-//! `read_timeout` gets `408`, and idle keep-alives are reaped after 30 s.
+//! Connections are not threads. An acceptor blocked in `epoll` deals
+//! sockets round-robin to a fixed set of `poll_shards` I/O threads; each
+//! shard sleeps in its own `epoll_wait` and steps only the sockets that
+//! became readable or writable, plus those whose extraction the batcher
+//! just answered (the dispatcher marks the connection on the shard's
+//! `eventfd` waker). Each step feeds bytes to a per-connection incremental
+//! [`http::RequestParser`] and writes pipelined responses in request
+//! order. A slow client costs a buffer, not a blocked thread; a client
+//! that dribbles one request past `read_timeout` gets `408`, and idle
+//! keep-alives are reaped after 30 s — the `epoll_wait` timeout is the
+//! earliest such deadline, so an idle server makes no wake-ups at all.
 //! Routing is nonblocking too: extraction requests come back from the
-//! [`router`] as pending handles the shard re-polls each tick, so the
-//! event loop never waits on the scorer.
+//! [`router`] as pending handles, so the event loop never waits on the
+//! scorer. The `epoll`/`eventfd` binding is declared against the libc
+//! `std` links, so serving is Linux-only.
 //!
 //! ## Replicated dynamic micro-batching
 //!
@@ -74,12 +79,13 @@
 //!
 //! Wired into the CLI as `neural-ner serve --ckpt model.json --addr
 //! 127.0.0.1:8080 [--replicas N] [--poll-shards S] [--max-batch N]
-//! [--max-wait-us T] [--queue-cap Q] [--slo-ms B] [--timeout-ms D]
-//! [--read-timeout-ms R] [--threads K] [--trace-ring N]`.
+//! [--queue-cap Q] [--slo-ms B] [--timeout-ms D] [--read-timeout-ms R]
+//! [--threads K] [--trace-ring N]`.
 
 #![warn(missing_docs)]
 
 pub mod batcher;
+mod epoll;
 pub mod http;
 pub mod prometheus;
 pub mod router;

@@ -10,10 +10,12 @@
 //! | `POST /admin/reload`     | atomically swap the checkpoint into all replicas |
 //! | `POST /admin/shutdown`   | begin graceful drain                           |
 //!
-//! Routing is **nonblocking**: [`dispatch`] either answers immediately
+//! Routing is **nonblocking**: `dispatch` either answers immediately
 //! ([`Routed::Done`] — admin and introspection routes, and every error
 //! path) or submits the texts to the [`Batcher`] and hands back a
-//! [`PendingExtract`] the poll loop re-polls each tick ([`Routed::Pending`]).
+//! [`PendingExtract`] ([`Routed::Pending`]). Each submitted text carries
+//! the connection's wake handle, so the batcher wakes the owning poll
+//! shard once the text is answered and the shard polls the pending then.
 //! No connection ever holds a thread hostage waiting for the scorer.
 //!
 //! Every extraction response — success or error — carries the request's
@@ -23,6 +25,7 @@
 //! byte-identity with offline extraction).
 
 use crate::batcher::{Batcher, Outcome, SubmitError};
+use crate::epoll::Wake;
 use crate::http::{Request, Response};
 use crate::prometheus;
 use crate::state::ServeState;
@@ -88,12 +91,12 @@ pub enum Routed {
     /// The response is ready now.
     Done(Response),
     /// The request was accepted by the batcher; poll
-    /// [`PendingExtract::poll`] until it yields the response.
+    /// [`PendingExtract::poll`] when woken until it yields the response.
     Pending(PendingExtract),
 }
 
 /// An extraction in flight: reply channels the dispatchers will answer,
-/// polled without blocking from the connection's poll loop.
+/// polled without blocking by the connection's poll shard.
 pub struct PendingExtract {
     /// One receiver per submitted text, in response order.
     receivers: Vec<std::sync::mpsc::Receiver<Outcome>>,
@@ -148,6 +151,12 @@ impl PendingExtract {
         None
     }
 
+    /// When [`poll`](PendingExtract::poll) stops waiting for the
+    /// dispatchers and answers 408 itself.
+    pub(crate) fn expires_at(&self) -> Instant {
+        self.deadline + DEADLINE_SLACK
+    }
+
     /// Serializes the completed extraction, sealing the trace.
     fn render(&mut self) -> Response {
         let sentences: Vec<Sentence> =
@@ -172,11 +181,17 @@ impl PendingExtract {
 /// Dispatches one request without blocking. Never panics on malformed
 /// input — every error path maps to a 4xx/5xx. `trace` is the per-request
 /// context opened at ingress; the extraction routes seal it and stamp its
-/// id onto the response.
-pub fn dispatch(req: &Request, state: &ServeState, batcher: &Batcher, trace: &TraceCtx) -> Routed {
+/// id onto the response. `wake` is fired once per answered text.
+pub(crate) fn dispatch(
+    req: &Request,
+    state: &ServeState,
+    batcher: &Batcher,
+    trace: &TraceCtx,
+    wake: Option<&Wake>,
+) -> Routed {
     match (req.method.as_str(), req.route_path()) {
-        ("POST", "/v1/extract") => begin_extract(req, state, batcher, trace, false),
-        ("POST", "/v1/extract_batch") => begin_extract(req, state, batcher, trace, true),
+        ("POST", "/v1/extract") => begin_extract(req, state, batcher, trace, wake, false),
+        ("POST", "/v1/extract_batch") => begin_extract(req, state, batcher, trace, wake, true),
         ("GET", "/healthz") => Routed::Done(healthz(state)),
         ("GET", "/metrics") => Routed::Done(metrics(req)),
         ("GET", "/admin/trace") => Routed::Done(admin_trace()),
@@ -230,6 +245,7 @@ fn begin_extract(
     state: &ServeState,
     batcher: &Batcher,
     trace: &TraceCtx,
+    wake: Option<&Wake>,
     batch: bool,
 ) -> Routed {
     let inline_trace = match wants_trace(req) {
@@ -250,7 +266,7 @@ fn begin_extract(
     let deadline = Instant::now() + state.config.request_timeout;
     let mut receivers = Vec::with_capacity(texts.len());
     for text in texts {
-        match batcher.submit_traced(text, deadline, Some(trace.clone())) {
+        match batcher.submit_traced(text, deadline, Some(trace.clone()), wake.cloned()) {
             Ok(rx) => receivers.push(rx),
             // Rejecting mid-batch drops the already-accepted receivers;
             // their dispatcher sends fail harmlessly.

@@ -1,25 +1,32 @@
-//! The serving front end: a nonblocking, readiness-driven poll loop over
-//! `std::net`, sharded across a small fixed set of I/O threads.
+//! The serving front end: readiness-driven I/O over `std::net` sockets,
+//! sharded across a small fixed set of threads that sleep in `epoll_wait`
+//! until there is work.
 //!
-//! The acceptor thread owns the listener and deals accepted sockets
-//! round-robin to `poll_shards` shard threads over channels. Each shard
-//! owns its connections outright — no lock is shared between shards — and
-//! drives them with nonblocking reads and writes:
+//! The acceptor thread blocks in epoll on the listener and a shutdown
+//! waker (an `eventfd`). It deals accepted sockets round-robin to
+//! `poll_shards` shard threads over channels, waking the receiving shard
+//! through its own waker. Each shard owns its connections outright — no
+//! lock is shared between shards — and one epoll instance:
 //!
+//! * sockets are registered edge-triggered for `EPOLLIN|EPOLLRDHUP`, and a
+//!   wake-up steps only the connections epoll reports ready, plus those
+//!   whose extraction the batcher has answered (marked on the shard's
+//!   waker) — an idle socket costs nothing per wake;
 //! * bytes are fed to a per-connection incremental [`RequestParser`], so a
 //!   slow client costs a buffer, not a blocked thread;
 //! * complete requests dispatch through the router; extraction requests
-//!   come back as [`PendingExtract`]s the shard re-polls each tick, so the
-//!   loop never blocks on scoring;
-//! * responses are written in request order (keep-alive pipelining), with
-//!   partial writes resumed on the next tick;
+//!   come back as [`PendingExtract`]s, and the batcher wakes the shard
+//!   once it has answered them, so the loop never blocks on scoring;
+//! * responses are written in request order (keep-alive pipelining); a
+//!   write the socket refuses arms `EPOLLOUT` until the rest is flushed;
 //! * a connection that dribbles one request past `read_timeout` is
 //!   answered 408 and closed; one idle past `IDLE_TIMEOUT` (30 s) is closed
-//!   silently.
+//!   silently. The `epoll_wait` timeout is the earliest such deadline of
+//!   the shard's connections; with none pending it blocks indefinitely.
 //!
-//! There is no thread per socket anywhere: a shard sleeps only when a full
-//! tick makes no progress, briefly while extractions are in flight and a
-//! little longer when fully idle.
+//! There is no thread per socket and no polling interval anywhere: every
+//! thread blocks until a socket, a scored batch, a deadline, or shutdown
+//! has something for it.
 //!
 //! The shutdown sequence loses no accepted work: the acceptor closes
 //! first, shards finish every request already parsed or in flight (new
@@ -27,27 +34,32 @@
 //! everything it accepted before its dispatchers exit.
 
 use crate::batcher::Batcher;
+use crate::epoll::{Epoll, Events, Wake, Waker, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{RequestParser, Response};
 use crate::router::{self, PendingExtract, Routed};
 use crate::state::ServeState;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How long an idle keep-alive connection may sit between requests.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Acceptor sleep between empty `accept` polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Readiness events taken per `epoll_wait`.
+const EVENT_BATCH: usize = 256;
 
-/// Shard sleep when a tick made no progress but extractions are in
-/// flight — short, so a scored batch turns into response bytes quickly.
-const INFLIGHT_POLL: Duration = Duration::from_micros(200);
+/// A shard's token for its own waker; connection tokens are slab indices.
+const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Shard sleep when a tick made no progress and nothing is in flight.
-const IDLE_POLL: Duration = Duration::from_millis(1);
+/// A connection's interest set: always readable (edge-triggered, with the
+/// peer's half-close), writable only while output is stuck.
+fn interest(writable: bool) -> u32 {
+    EPOLLIN | EPOLLRDHUP | EPOLLET | if writable { EPOLLOUT } else { 0 }
+}
 
 /// A bound, not-yet-running server. [`run`](Server::run) blocks until a
 /// graceful shutdown completes (via `POST /admin/shutdown` or
@@ -80,90 +92,262 @@ impl Server {
     /// Serves until shutdown is requested, then drains and returns.
     pub fn run(self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let batcher = Batcher::start(Arc::clone(&self.state));
         let shard_count = self.state.config.poll_shards.max(1);
+        let accept_poll = Epoll::new()?;
+        let shutdown = Arc::new(Waker::new()?);
+        // The listener is edge-triggered: each wake accepts until the
+        // backlog is empty. The shutdown waker is never cleared — once it
+        // fires, the accept loop ends.
+        accept_poll.add(self.listener.as_raw_fd(), EPOLLIN | EPOLLET, 0)?;
+        accept_poll.add(shutdown.fd(), EPOLLIN, 1)?;
+        let shards = (0..shard_count).map(|_| Shard::new()).collect::<std::io::Result<Vec<_>>>()?;
+        let batcher = Batcher::start(Arc::clone(&self.state));
         ner_obs::info(format!(
             "serving on http://{} ({} poll shards, {} replicas)",
             self.addr,
             shard_count,
             self.state.replica_count()
         ));
+        self.state.wake_on_shutdown(Arc::clone(&shutdown));
 
-        std::thread::scope(|scope| {
+        let accepted = std::thread::scope(|scope| {
             // One channel per shard; dropping the senders after the accept
-            // loop is the shards' signal to drain and exit.
-            let mut senders = Vec::with_capacity(shard_count);
-            for shard in 0..shard_count {
+            // loop, then waking each shard, is its signal to drain and exit.
+            let mut links = Vec::with_capacity(shard_count);
+            for (index, shard) in shards.into_iter().enumerate() {
                 let (tx, rx) = mpsc::channel::<TcpStream>();
-                senders.push(tx);
+                links.push((tx, Arc::clone(&shard.waker)));
                 let state = &*self.state;
                 let batcher = &batcher;
                 std::thread::Builder::new()
-                    .name(format!("ner-serve-poll-{shard}"))
-                    .spawn_scoped(scope, move || shard_loop(rx, state, batcher))
+                    .name(format!("ner-serve-poll-{index}"))
+                    .spawn_scoped(scope, move || shard.run(rx, state, batcher))
                     .expect("spawn poll shard");
             }
-            let mut next_shard = 0usize;
-            while !self.state.is_shutting_down() {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // A shard only stops receiving when its channel is
-                        // dropped below, so this send cannot fail while
-                        // accepting.
-                        let _ = senders[next_shard % senders.len()].send(stream);
-                        next_shard = next_shard.wrapping_add(1);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) => {
-                        ner_obs::warn(format!("accept error: {e}"));
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                }
+            let accepted = self.accept_loop(&accept_poll, &links);
+            if accepted.is_err() {
+                // The acceptor cannot go on; drain what the shards hold.
+                self.state.begin_shutdown();
             }
-            drop(senders);
+            for (tx, waker) in links {
+                drop(tx);
+                waker.wake();
+            }
+            accepted
         });
+        self.state.forget_shutdown_waker(&shutdown);
         // Shards are done: every accepted request has been answered. Drain
         // whatever the batcher still holds (nothing, unless a caller used
         // it directly) and join its dispatchers.
         batcher.shutdown();
         ner_obs::info("drained; server stopped");
+        accepted
+    }
+
+    /// Blocks in epoll until a connection arrives or shutdown begins, and
+    /// deals each accepted socket to the next shard, waking it.
+    fn accept_loop(
+        &self,
+        poll: &Epoll,
+        shards: &[(mpsc::Sender<TcpStream>, Arc<Waker>)],
+    ) -> std::io::Result<()> {
+        let mut events = Events::with_capacity(2);
+        let mut next_shard = 0usize;
+        while !self.state.is_shutting_down() {
+            poll.wait(&mut events, None)?;
+            loop {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let (tx, waker) = &shards[next_shard % shards.len()];
+                        // The send fails only if the shard stopped on an
+                        // epoll error; the socket is then dropped (closed).
+                        let _ = tx.send(stream);
+                        waker.wake();
+                        next_shard = next_shard.wrapping_add(1);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(e) => {
+                        // E.g. out of descriptors. The queued connections
+                        // wait for the next arrival's edge rather than
+                        // spinning on the same error.
+                        ner_obs::warn(format!("accept error: {e}"));
+                        break;
+                    }
+                }
+            }
+        }
         Ok(())
     }
 }
 
-/// One poll shard: adopts connections from its channel and ticks them
-/// until the acceptor hangs up and every connection has drained.
-fn shard_loop(incoming: mpsc::Receiver<TcpStream>, state: &ServeState, batcher: &Batcher) {
-    let mut conns: Vec<Conn> = Vec::new();
-    loop {
+/// One poll shard's epoll instance and the waker other threads reach it
+/// through. Created before the shard thread starts so the acceptor holds
+/// the waker from the first accepted socket on.
+struct Shard {
+    epoll: Epoll,
+    waker: Arc<Waker>,
+}
+
+impl Shard {
+    fn new() -> std::io::Result<Shard> {
+        let epoll = Epoll::new()?;
+        let waker = Arc::new(Waker::new()?);
+        epoll.add(waker.fd(), EPOLLIN, WAKER_TOKEN)?;
+        Ok(Shard { epoll, waker })
+    }
+
+    /// Adopts connections from `incoming` and steps those with news until
+    /// the acceptor hangs up and every connection has drained.
+    fn run(self, incoming: mpsc::Receiver<TcpStream>, state: &ServeState, batcher: &Batcher) {
+        let mut conns = Conns::default();
+        let mut events = Events::with_capacity(EVENT_BATCH);
+        let mut ready: Vec<u64> = Vec::new();
         let mut accepting = true;
-        loop {
-            match incoming.try_recv() {
-                Ok(stream) => match Conn::adopt(stream) {
-                    Ok(conn) => conns.push(conn),
-                    Err(e) => ner_obs::warn(format!("could not adopt connection: {e}")),
-                },
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    accepting = false;
-                    break;
+        while accepting || conns.live > 0 {
+            let timeout =
+                conns.next_deadline().map(|at| at.saturating_duration_since(Instant::now()));
+            if let Err(e) = self.epoll.wait(&mut events, timeout) {
+                ner_obs::warn(format!("poll shard stopped: epoll_wait failed: {e}"));
+                return;
+            }
+            ready.clear();
+            for token in events.tokens() {
+                if token != WAKER_TOKEN {
+                    ready.push(token);
+                    continue;
+                }
+                self.waker.take(&mut ready);
+                loop {
+                    match incoming.try_recv() {
+                        Ok(stream) => match conns.adopt(stream, &self.epoll, &self.waker) {
+                            Ok(token) => ready.push(token),
+                            Err(e) => ner_obs::warn(format!("could not adopt connection: {e}")),
+                        },
+                        Err(mpsc::TryRecvError::Empty) => break,
+                        Err(mpsc::TryRecvError::Disconnected) => {
+                            if accepting {
+                                // Draining: every connection between
+                                // requests must be stepped once to close.
+                                accepting = false;
+                                ready.extend(conns.tokens());
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+            conns.take_expired(Instant::now(), &mut ready);
+            ready.sort_unstable();
+            ready.dedup();
+            for &token in &ready {
+                conns.step(token, &self.epoll, state, batcher);
+            }
+        }
+    }
+}
+
+/// A shard's live connections, indexed by epoll token, plus a min-heap of
+/// their deadlines.
+#[derive(Default)]
+struct Conns {
+    slab: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    live: usize,
+    /// `(deadline, token)`. Only the entry equal to a connection's
+    /// [`Conn::armed`] is live; others are stale and skipped when popped.
+    timers: BinaryHeap<Reverse<(Instant, usize)>>,
+}
+
+impl Conns {
+    fn adopt(
+        &mut self,
+        stream: TcpStream,
+        epoll: &Epoll,
+        waker: &Arc<Waker>,
+    ) -> std::io::Result<u64> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let index = self.free.last().copied().unwrap_or(self.slab.len());
+        let token = index as u64;
+        epoll.add(stream.as_raw_fd(), interest(false), token)?;
+        let conn = Some(Conn::new(stream, Wake { waker: Arc::clone(waker), token }));
+        if self.free.pop().is_some() {
+            self.slab[index] = conn;
+        } else {
+            self.slab.push(conn);
+        }
+        self.live += 1;
+        Ok(token)
+    }
+
+    fn tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slab.iter().enumerate().filter(|(_, c)| c.is_some()).map(|(i, _)| i as u64)
+    }
+
+    /// The earliest armed deadline — possibly a stale one, which only
+    /// wakes the shard early.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.timers.peek().map(|Reverse((at, _))| *at)
+    }
+
+    /// Moves the tokens whose armed deadline has passed into `ready`,
+    /// disarming them (stepping re-arms).
+    fn take_expired(&mut self, now: Instant, ready: &mut Vec<u64>) {
+        while let Some(&Reverse((at, index))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            if let Some(Some(conn)) = self.slab.get_mut(index) {
+                if conn.armed == Some(at) {
+                    conn.armed = None;
+                    ready.push(index as u64);
                 }
             }
         }
-        let mut progress = false;
-        conns.retain_mut(|conn| {
-            let step = conn.step(state, batcher);
-            progress |= step.progress;
-            !step.done
-        });
-        if !accepting && conns.is_empty() {
+    }
+
+    /// Steps one connection, then closes it or updates its `EPOLLOUT`
+    /// interest and deadline. Stale tokens (a closed connection's late
+    /// event) are ignored; a reused slot just takes a harmless extra step.
+    fn step(&mut self, token: u64, epoll: &Epoll, state: &ServeState, batcher: &Batcher) {
+        let index = token as usize;
+        let Some(Some(conn)) = self.slab.get_mut(index) else { return };
+        if conn.step(state, batcher) {
+            // Dropping the stream closes it, which also removes it from
+            // the epoll set.
+            self.slab[index] = None;
+            self.free.push(index);
+            self.live -= 1;
             return;
         }
-        if !progress {
-            let waiting = conns.iter().any(Conn::has_pending_extracts);
-            std::thread::sleep(if waiting { INFLIGHT_POLL } else { IDLE_POLL });
+        let writable = !conn.out.is_empty();
+        if writable != conn.write_armed {
+            match epoll.modify(conn.stream.as_raw_fd(), interest(writable), token) {
+                Ok(()) => conn.write_armed = writable,
+                Err(e) => ner_obs::warn(format!("could not update socket interest: {e}")),
+            }
+        }
+        if let Some(at) = conn.deadline(state.config.read_timeout) {
+            if conn.armed.is_none_or(|armed| at < armed) {
+                conn.armed = Some(at);
+                self.timers.push(Reverse((at, index)));
+                // Superseded entries linger until popped; rebuild from the
+                // live ones before they outnumber the connections.
+                if self.timers.len() > 2 * self.live + 64 {
+                    self.timers = self
+                        .slab
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, c)| Some(Reverse((c.as_ref()?.armed?, i))))
+                        .collect();
+                }
+            }
         }
     }
 }
@@ -177,12 +361,6 @@ enum Slot {
     Ready { bytes: Vec<u8>, close: bool },
     /// An extraction the batcher has not answered yet.
     Waiting { pending: PendingExtract, close: bool },
-}
-
-/// What one connection tick concluded.
-struct Step {
-    progress: bool,
-    done: bool,
 }
 
 /// One live connection owned by a poll shard.
@@ -204,13 +382,17 @@ struct Conn {
     /// A `Connection: close` response has been queued; once `out` drains
     /// the connection is done.
     closing: bool,
+    /// This connection's return address for the batcher.
+    wake: Wake,
+    /// `EPOLLOUT` is in the interest set.
+    write_armed: bool,
+    /// The deadline this connection has live in the shard's timer heap.
+    armed: Option<Instant>,
 }
 
 impl Conn {
-    fn adopt(stream: TcpStream) -> std::io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
+    fn new(stream: TcpStream, wake: Wake) -> Conn {
+        Conn {
             stream,
             parser: RequestParser::new(),
             slots: VecDeque::new(),
@@ -219,13 +401,10 @@ impl Conn {
             idle_since: Instant::now(),
             stop_reading: false,
             closing: false,
-        })
-    }
-
-    /// True while any extraction is awaiting the batcher — the shard polls
-    /// faster when so.
-    fn has_pending_extracts(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, Slot::Waiting { .. }))
+            wake,
+            write_armed: false,
+            armed: None,
+        }
     }
 
     /// Queues a response, stopping the read side when it will close the
@@ -237,11 +416,29 @@ impl Conn {
         self.slots.push_back(slot);
     }
 
-    /// One nonblocking tick: read, parse + dispatch, poll in-flight
-    /// extractions, write, then judge timeouts and lifetime.
-    fn step(&mut self, state: &ServeState, batcher: &Batcher) -> Step {
-        let mut progress = false;
+    /// The earliest instant at which [`step`](Conn::step) acts on its own
+    /// clocks: the read deadline, the idle expiry, or an in-flight
+    /// extraction's give-up time.
+    fn deadline(&self, read_timeout: Duration) -> Option<Instant> {
+        let read = self.request_started.map(|t0| t0 + read_timeout);
+        let idle = (self.parser.is_idle() && self.out.is_empty() && self.slots.is_empty())
+            .then(|| self.idle_since + IDLE_TIMEOUT);
+        let scoring = self
+            .slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Waiting { pending, .. } => Some(pending.expires_at()),
+                Slot::Ready { .. } => None,
+            })
+            .min();
+        read.into_iter().chain(idle).chain(scoring).min()
+    }
 
+    /// One nonblocking step: read, parse + dispatch, poll in-flight
+    /// extractions, write, then judge timeouts and lifetime. Returns true
+    /// once the connection is done. Reads and writes run until the socket
+    /// would block, as edge-triggered readiness requires.
+    fn step(&mut self, state: &ServeState, batcher: &Batcher) -> bool {
         // Read whatever the socket has.
         if !self.stop_reading {
             let mut chunk = [0u8; 4096];
@@ -260,13 +457,12 @@ impl Conn {
                         break;
                     }
                     Ok(n) => {
-                        progress = true;
                         self.parser.feed(&chunk[..n]);
                         self.request_started.get_or_insert_with(Instant::now);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => return Step { progress, done: true },
+                    Err(_) => return true,
                 }
             }
         }
@@ -275,12 +471,11 @@ impl Conn {
         while !self.stop_reading {
             match self.parser.poll() {
                 Ok(Some(req)) => {
-                    progress = true;
                     // The trace clock starts the moment the request is
                     // fully read, so queue wait, batch formation, scoring,
                     // and the response tail share one monotonic origin.
                     let trace = ner_obs::trace::TraceCtx::new(req.route_path());
-                    let routed = router::dispatch(&req, state, batcher, &trace);
+                    let routed = router::dispatch(&req, state, batcher, &trace, Some(&self.wake));
                     // Evaluated after dispatch, so the response to
                     // `POST /admin/shutdown` itself says close.
                     let close = req.wants_close() || state.is_shutting_down();
@@ -318,12 +513,11 @@ impl Conn {
         }
 
         // Poll every in-flight extraction (not just the head, so the head
-        // resolving releases already-finished followers the same tick).
+        // resolving releases already-finished followers the same step).
         for slot in self.slots.iter_mut() {
             let Slot::Waiting { pending, close } = slot else { continue };
             let close = *close;
             if let Some(resp) = pending.poll() {
-                progress = true;
                 *slot = Slot::Ready { bytes: resp.to_bytes(close), close };
             }
         }
@@ -345,29 +539,31 @@ impl Conn {
             }
         }
 
-        // Write as much as the socket accepts.
+        // Write as much as the socket accepts; the rest waits for
+        // `EPOLLOUT`.
         while !self.out.is_empty() {
             match self.stream.write(&self.out) {
-                Ok(0) => return Step { progress, done: true },
+                Ok(0) => return true,
                 Ok(n) => {
-                    progress = true;
                     self.out.drain(..n);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    ner_obs::counter("serve.write_stalls", 1.0);
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Step { progress, done: true },
+                Err(_) => return true,
             }
         }
 
         let flushed = self.out.is_empty() && self.slots.is_empty();
-        let done = (self.closing && self.out.is_empty())
+        (self.closing && self.out.is_empty())
             // Peer finished sending and everything owed is written.
             || (self.stop_reading && flushed)
             // Server draining and this connection is between requests.
             || (state.is_shutting_down() && self.parser.is_idle() && flushed)
             // Idle keep-alive expiry.
-            || (self.parser.is_idle() && flushed && self.idle_since.elapsed() >= IDLE_TIMEOUT);
-        Step { progress, done }
+            || (self.parser.is_idle() && flushed && self.idle_since.elapsed() >= IDLE_TIMEOUT)
     }
 }
 

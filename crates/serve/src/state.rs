@@ -1,7 +1,8 @@
-//! State shared by every poll-loop shard and dispatcher: the sharded,
+//! State shared by every poll shard and dispatcher: the sharded,
 //! hot-swappable pipeline replicas, the serving configuration, and
 //! lifecycle flags.
 
+use crate::epoll::Waker;
 use ner_core::persist::Checkpoint;
 use ner_core::prelude::NerPipeline;
 use std::path::PathBuf;
@@ -13,12 +14,9 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Largest batch a dispatcher scores in one `extract_batch` call.
+    /// Batching is work-conserving: a dispatcher never holds an idle
+    /// scorer back to widen a batch.
     pub max_batch: usize,
-    /// Upper bound on one idle-dispatcher sleep between queue checks.
-    /// Batching itself is work-conserving — a dispatcher never holds an
-    /// idle scorer back to widen a batch — so this only paces the wakeup
-    /// loop while the queue is empty.
-    pub max_wait: Duration,
     /// Hard backstop on queue depth; requests beyond it get 429 +
     /// `Retry-After` regardless of what the SLO model predicts.
     pub queue_cap: usize,
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_micros(500),
             queue_cap: 1024,
             request_timeout: Duration::from_secs(10),
             slo_p99: Duration::from_secs(10),
@@ -96,6 +93,10 @@ pub struct ServeState {
     shutting_down: AtomicBool,
     /// Completed reloads since boot.
     reloads: AtomicU64,
+    /// Fired by [`begin_shutdown`](ServeState::begin_shutdown): each
+    /// running server's acceptor blocks in epoll and learns of a drain
+    /// only through its waker here.
+    shutdown_wakers: Mutex<Vec<Arc<Waker>>>,
 }
 
 impl ServeState {
@@ -124,6 +125,7 @@ impl ServeState {
             config,
             shutting_down: AtomicBool::new(false),
             reloads: AtomicU64::new(0),
+            shutdown_wakers: Mutex::new(Vec::new()),
         })
     }
 
@@ -195,6 +197,26 @@ impl ServeState {
     /// Flags the server as draining; new requests are refused with 503.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
+        // Release pairs with the Acquire in `is_shutting_down`, and the
+        // lock orders this against `wake_on_shutdown`: an acceptor either
+        // registered before this wake or sees the flag once registered.
+        for waker in self.shutdown_wakers.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            waker.wake();
+        }
+    }
+
+    /// Registers a waker for [`begin_shutdown`](ServeState::begin_shutdown)
+    /// to fire. Check the flag after registering, not before.
+    pub(crate) fn wake_on_shutdown(&self, waker: Arc<Waker>) {
+        self.shutdown_wakers.lock().unwrap_or_else(|e| e.into_inner()).push(waker);
+    }
+
+    /// Unregisters a waker added by `wake_on_shutdown`.
+    pub(crate) fn forget_shutdown_waker(&self, waker: &Arc<Waker>) {
+        self.shutdown_wakers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .retain(|w| !Arc::ptr_eq(w, waker));
     }
 
     /// True once shutdown has been requested.

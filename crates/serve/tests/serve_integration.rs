@@ -93,11 +93,7 @@ fn json_escape(text: &str) -> String {
 
 #[test]
 fn concurrent_batched_responses_match_offline_annotate() {
-    let cfg = ServeConfig {
-        max_batch: 16,
-        max_wait: Duration::from_micros(500),
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { max_batch: 16, ..ServeConfig::default() };
     let (addr, state, handle) = start_server(cfg, None);
     let offline = state.pipeline();
 
@@ -543,11 +539,8 @@ fn flight_recorder_pins_the_slowest_request() {
     stop_server(addr, handle);
 }
 
-/// Reads one HTTP response off a raw socket: status code and whether the
-/// server closed the connection afterwards. For the hostile-client tests
-/// that drive sockets directly instead of through the client module.
-fn read_raw_response(stream: std::net::TcpStream) -> (u16, bool) {
-    let mut reader = BufReader::new(stream);
+/// Reads one HTTP response: status code and body.
+fn read_status_and_body(reader: &mut impl BufRead) -> (u16, String) {
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line
@@ -569,6 +562,15 @@ fn read_raw_response(stream: std::net::TcpStream) -> (u16, bool) {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+/// Reads one HTTP response off a raw socket: status code and whether the
+/// server closed the connection afterwards. For the hostile-client tests
+/// that drive sockets directly instead of through the client module.
+fn read_raw_response(stream: std::net::TcpStream) -> (u16, bool) {
+    let mut reader = BufReader::new(stream);
+    let (status, _) = read_status_and_body(&mut reader);
     // EOF after the body means the server closed the connection; probe
     // briefly so a keep-alive socket doesn't hold the test for its full
     // read timeout.
@@ -820,4 +822,118 @@ fn replicas_serve_identically_and_reload_swaps_them_all() {
 
     stop_server(addr, handle);
     let _ = std::fs::remove_file(ckpt_path);
+}
+
+#[test]
+fn pipelined_replies_resume_after_the_send_buffer_fills() {
+    // One client pipelines far more reply bytes than the socket buffers
+    // hold and reads nothing until the server's writes have stalled. The
+    // server must park the rest behind EPOLLOUT and resume it: every reply
+    // arrives, in request order, byte-equal to offline extract.
+    let cfg = ServeConfig {
+        queue_cap: 1 << 20,
+        request_timeout: Duration::from_secs(60),
+        slo_p99: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let (addr, state, handle) = start_server(cfg, None);
+    let offline = state.pipeline();
+    let stalls_before = ner_obs::counter_value("serve.write_stalls").unwrap_or(0.0);
+
+    let (requests, per_request) = (96, 256);
+    let texts: Vec<Vec<String>> = (0..requests)
+        .map(|r| {
+            (0..per_request)
+                .map(|i| format!("Alice Smith flew to Paris with delegation {r}-{i} yesterday ."))
+                .collect()
+        })
+        .collect();
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut pipelined = Vec::new();
+    for batch in &texts {
+        let body = format!(
+            "{{\"texts\": [{}]}}",
+            batch.iter().map(|t| format!("\"{}\"", json_escape(t))).collect::<Vec<_>>().join(", ")
+        );
+        pipelined.extend_from_slice(
+            format!(
+                "POST /v1/extract_batch HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    stream.write_all(&pipelined).expect("write pipelined requests");
+    stream.flush().unwrap();
+
+    // Read nothing until a server write has hit a full socket.
+    let waited = std::time::Instant::now();
+    while ner_obs::counter_value("serve.write_stalls").unwrap_or(0.0) <= stalls_before {
+        assert!(waited.elapsed() < Duration::from_secs(60), "the server's writes never stalled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut reader = BufReader::new(stream);
+    let mut received = 0usize;
+    for (r, batch) in texts.iter().enumerate() {
+        let (status, body) = read_status_and_body(&mut reader);
+        assert_eq!(status, 200, "body: {body}");
+        received += body.len();
+        let results = batch.iter().map(|text| offline_payload(&offline, text)).collect();
+        let expected = Value::Object(vec![("results".into(), Value::Array(results))]);
+        assert!(
+            body == serde_json::to_string(&expected).expect("serialize"),
+            "reply {r} is not byte-equal to offline extract of its texts"
+        );
+    }
+    assert!(received > 8 << 20, "only {received} reply bytes; too few to fill the buffers");
+
+    stop_server(addr, handle);
+}
+
+#[test]
+fn wake_ups_reach_every_shard() {
+    // Three shards, each blocked in epoll_wait. A fresh shard has no
+    // deadline at all, so only the acceptor's wake-up can bring it a
+    // socket; once its connections sit idle, only readiness or shutdown
+    // can wake it again.
+    let cfg = ServeConfig { poll_shards: 3, ..ServeConfig::default() };
+    let (addr, _state, handle) = start_server(cfg, None);
+    let healthz = |stream: &mut std::net::TcpStream| {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write request");
+        read_status_and_body(&mut BufReader::new(stream.try_clone().expect("clone")))
+    };
+
+    // Round-robin dealing puts two connections on every shard; the first
+    // three land on shards with no connection and no deadline.
+    let mut idle: Vec<std::net::TcpStream> = (0..6)
+        .map(|_| {
+            let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert_eq!(healthz(&mut stream).0, 200, "a freshly dealt socket must be served");
+            stream
+        })
+        .collect();
+    // A request on each now-idle connection: readiness alone wakes it.
+    for stream in &mut idle {
+        assert_eq!(healthz(stream).0, 200, "an idle keep-alive must be served when it speaks");
+    }
+
+    // Shutdown with the idle connections still open: every shard must be
+    // woken to close them, and the server must join promptly.
+    let resp = client::post(addr, "/admin/shutdown", "").expect("shutdown request");
+    assert_eq!(resp.status, 200);
+    let (joined_tx, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = joined_tx.send(handle.join().is_ok());
+    });
+    assert_eq!(
+        joined.recv_timeout(Duration::from_secs(10)),
+        Ok(true),
+        "Server::run must join promptly with idle connections on every shard"
+    );
+    for stream in &mut idle {
+        assert!(matches!(stream.read(&mut [0u8; 1]), Ok(0)), "shutdown must close idle sockets");
+    }
 }
