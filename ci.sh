@@ -8,10 +8,12 @@
 #   3. tier-1 tests     (release build + full test suite, serial and at
 #      4 threads — the parallel paths must not change results — and once
 #      more at NER_SIMD=off so forced-scalar kernels reproduce the same
-#      bits the default SIMD level produced)
+#      bits the default SIMD level produced; ner-tensor and ner-core once
+#      more at NER_SIMD=sse2, so the 4-lane kernels run on AVX2 hosts too)
 #   4. kernel smoke     (exp_kernels --smoke exits non-zero on any
-#      blocked/SIMD/parallel-vs-naive kernel divergence, run at both the
-#      default SIMD level and NER_SIMD=off)
+#      blocked/SIMD/parallel-vs-naive kernel divergence, or any exp/
+#      sigmoid/tanh/lstm_cell lane differing from the scalar reference,
+#      run at the default SIMD level, NER_SIMD=off and NER_SIMD=sse2)
 #   5. inference smoke  (exp_inference --smoke at 1 and 4 threads exits
 #      non-zero if the tape-free plan's tags — or the batched [B,T]
 #      backend's — diverge from the tape path)
@@ -59,11 +61,17 @@ NER_SIMD=off NER_THREADS=1 cargo test -q
 echo "== tier-1: tests with SIMD forced off (NER_SIMD=off, NER_THREADS=4) =="
 NER_SIMD=off NER_THREADS=4 cargo test -q
 
+echo "== tier-1: ner-tensor + ner-core at 4-lane width (NER_SIMD=sse2) =="
+NER_SIMD=sse2 cargo test -q -p ner-tensor -p ner-core
+
 echo "== kernel smoke: blocked/SIMD/parallel must match the naive oracle =="
 cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
 echo "== kernel smoke again with SIMD forced off (NER_SIMD=off) =="
 NER_SIMD=off cargo run --release -p ner-bench --bin exp_kernels -- --smoke
+
+echo "== kernel smoke again at 4-lane width (NER_SIMD=sse2) =="
+NER_SIMD=sse2 cargo run --release -p ner-bench --bin exp_kernels -- --smoke
 
 echo "== inference smoke: plan and batched [B,T] must reproduce the tape (NER_THREADS=1) =="
 NER_THREADS=1 cargo run --release -p ner-bench --bin exp_inference -- --smoke

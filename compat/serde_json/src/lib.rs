@@ -242,12 +242,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte aware).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or escape in one step.
+                // Both are ASCII, so the run ends on a character boundary,
+                // and validating it costs the run's length — not the rest
+                // of the input, which made parsing quadratic.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| Error("invalid UTF-8 in string".to_string()))?;
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -319,6 +325,7 @@ mod tests {
             ("flag".to_string(), Value::Bool(true)),
             ("none".to_string(), Value::Null),
             ("unicode".to_string(), Value::Str("naïve — ∞".to_string())),
+            ("mixed".to_string(), Value::Str("日\"本\\é\n∞".to_string())),
         ]);
         let compact = to_string(&v).unwrap();
         let parsed: Value = from_str(&compact).unwrap();

@@ -5,14 +5,17 @@
 //! `matmul_nt`) at several shapes against a local copy of the original
 //! naive kernels — with the scalar blocked kernels forced via
 //! `simd::with_level(Off, …)` and one forced row per supported SIMD
-//! level (`sse2`, `avx2`) — then measures encoder-class batch scoring
-//! (`predict_all`) at thread counts 1/2/4 on the global `ner-par` pool.
+//! level (`sse2`, `avx2`) — then times the lane-exact `exp`, `sigmoid`,
+//! `tanh` sweeps and the `lstm_cell` gate kernel at every forced level, and
+//! measures encoder-class batch scoring (`predict_all`) at thread counts
+//! 1/2/4 on the global `ner-par` pool.
 //!
 //! The blocked, SIMD and parallel kernels all preserve the naive
 //! kernels' per-element accumulation order, so every row must agree
 //! with the naive oracle **bit for bit** — any nonzero
-//! `max_abs_diff_vs_naive` makes the harness exit non-zero (CI runs
-//! this via `--smoke` at both `NER_SIMD=off` and the default level).
+//! `max_abs_diff_vs_naive`, or a transcendental row that differs from the
+//! scalar reference, makes the harness exit non-zero (CI runs this via
+//! `--smoke` at `NER_SIMD=off`, `NER_SIMD=sse2` and the default level).
 //!
 //! Results land in `results/exp_kernels.json` (with a run manifest that
 //! records the kernel backend) and, for the repo-level benchmark
@@ -55,6 +58,23 @@ struct KernelRow {
     max_abs_diff_vs_naive: f64,
 }
 
+/// One lane-exact transcendental or gate-cell measurement.
+#[derive(Serialize)]
+struct ActivationRow {
+    /// `exp`, `sigmoid`, `tanh` (in-place sweeps) or `lstm_cell` (one
+    /// LSTM update per row of a batch).
+    op: String,
+    /// Elements (hidden units for `lstm_cell`) per timed call.
+    elements: usize,
+    simd: String,
+    best_ms: f64,
+    elements_per_sec: f64,
+    speedup_vs_off: f64,
+    /// Must be `true`: the output equals the scalar reference bit for bit
+    /// (any NaN matching any NaN); a `false` fails the harness.
+    identical_to_scalar: bool,
+}
+
 /// One batch-scoring measurement.
 #[derive(Serialize)]
 struct ScoringRow {
@@ -90,6 +110,7 @@ struct Report {
     /// FMA rounds once where the scalar oracle rounds twice).
     cpu_fma: bool,
     kernels: Vec<KernelRow>,
+    activations: Vec<ActivationRow>,
     batch_scoring: Vec<ScoringRow>,
     divergence_failures: usize,
 }
@@ -387,6 +408,109 @@ fn bench_kernels(
     rows
 }
 
+/// Bit equality where any NaN matches any NaN.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| if y.is_nan() { x.is_nan() } else { x.to_bits() == y.to_bits() })
+}
+
+/// Uniform inputs on `[-12, 12]` with every 61st element an edge value
+/// (signed zeros, a subnormal, ±inf, NaN, past the exp clamp).
+fn activation_inputs(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    let edges =
+        [0.0, -0.0, f32::from_bits(1), f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 95.0, -120.0];
+    (0..len)
+        .map(|i| {
+            if i % 61 == 0 {
+                edges[(i / 61) % edges.len()]
+            } else {
+                rng.gen::<f32>() * 24.0 - 12.0
+            }
+        })
+        .collect()
+}
+
+/// `exp`/`sigmoid`/`tanh` sweeps and the `lstm_cell` gate kernel at every
+/// forced SIMD level, each checked against the scalar reference.
+fn bench_activations(scale: Scale, reps: usize, failures: &mut usize) -> Vec<ActivationRow> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let len = match scale {
+        Scale::Full => 1 << 16,
+        Scale::Quick => 1 << 12,
+    };
+    let input = activation_inputs(&mut rng, len);
+    let mut rows: Vec<ActivationRow> = Vec::new();
+    let mut push = |rows: &mut Vec<ActivationRow>,
+                    op: &str,
+                    elements: usize,
+                    lvl: SimdLevel,
+                    ms: f64,
+                    ok: bool| {
+        if !ok {
+            *failures += 1;
+            eprintln!("DIVERGENCE: {op} at {} differs from the scalar reference", lvl.name());
+        }
+        let off_ms = rows.iter().find(|r| r.op == op && r.simd == "off").map_or(ms, |r| r.best_ms);
+        rows.push(ActivationRow {
+            op: op.into(),
+            elements,
+            simd: lvl.name().into(),
+            best_ms: ms,
+            elements_per_sec: elements as f64 / (ms / 1e3),
+            speedup_vs_off: off_ms / ms,
+            identical_to_scalar: ok,
+        });
+    };
+
+    type Sweep = (&'static str, fn(&mut [f32]), fn(f32) -> f32);
+    let sweeps: [Sweep; 3] = [
+        ("exp", simd::exp_in_place, simd::exp),
+        ("sigmoid", simd::sigmoid_in_place, simd::sigmoid),
+        ("tanh", simd::tanh_in_place, simd::tanh),
+    ];
+    for (op, sweep, scalar) in sweeps {
+        let oracle: Vec<f32> = input.iter().map(|&v| scalar(v)).collect();
+        for lvl in forced_levels() {
+            let mut buf = input.clone();
+            let ms = simd::with_level(lvl, || {
+                best_ms(reps, || {
+                    buf.copy_from_slice(&input);
+                    sweep(std::hint::black_box(&mut buf));
+                })
+            });
+            push(&mut rows, op, len, lvl, ms, same_bits(&buf, &oracle));
+        }
+    }
+
+    // The default model's hidden width; one cell update per row of a
+    // `[len / h, 4h]` pre-activation batch.
+    let h = 48;
+    let batch = len / h;
+    let pre = activation_inputs(&mut rng, batch * 4 * h);
+    let c0: Vec<f32> = (0..batch * h).map(|_| rng.gen::<f32>() * 4.0 - 2.0).collect();
+    let run_cells = |c: &mut [f32], out: &mut [f32]| {
+        for (r, (cr, hr)) in c.chunks_mut(h).zip(out.chunks_mut(h)).enumerate() {
+            simd::lstm_cell(&pre[r * 4 * h..(r + 1) * 4 * h], cr, hr, None);
+        }
+    };
+    let mut reference = (c0.clone(), vec![0.0; batch * h]);
+    simd::with_level(SimdLevel::Off, || run_cells(&mut reference.0, &mut reference.1));
+    for lvl in forced_levels() {
+        let (mut c, mut out) = (c0.clone(), vec![0.0; batch * h]);
+        let ms = simd::with_level(lvl, || {
+            best_ms(reps, || {
+                c.copy_from_slice(&c0);
+                run_cells(std::hint::black_box(&mut c), &mut out);
+            })
+        });
+        let ok = same_bits(&c, &reference.0) && same_bits(&out, &reference.1);
+        push(&mut rows, "lstm_cell", batch * h, lvl, ms, ok);
+    }
+    rows
+}
+
 fn bench_scoring(scale: Scale, thread_counts: &[usize]) -> Vec<ScoringRow> {
     let mut rng = StdRng::seed_from_u64(SEED);
     let gen = NewsGenerator::new(GeneratorConfig::default());
@@ -455,6 +579,7 @@ fn main() {
 
     let mut failures = 0usize;
     let kernels = bench_kernels(&shapes, &thread_counts, reps, &mut failures);
+    let activations = bench_activations(scale, reps, &mut failures);
     let batch_scoring = bench_scoring(scale, &thread_counts);
     for r in &batch_scoring {
         if !r.identical_to_serial {
@@ -480,6 +605,24 @@ fn main() {
                     format!("{:.2}", r.gflops),
                     format!("{:.2}", r.speedup_vs_naive),
                     format!("{:.1e}", r.max_abs_diff_vs_naive),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    print_table(
+        "lane-exact transcendentals (best of reps)",
+        &["op", "elements", "simd", "ms", "Melem/s", "×off", "identical"],
+        &activations
+            .iter()
+            .map(|r| {
+                vec![
+                    r.op.clone(),
+                    r.elements.to_string(),
+                    r.simd.clone(),
+                    format!("{:.3}", r.best_ms),
+                    format!("{:.1}", r.elements_per_sec / 1e6),
+                    format!("{:.2}", r.speedup_vs_off),
+                    r.identical_to_scalar.to_string(),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -517,6 +660,7 @@ fn main() {
         cpu_avx2: cpu.avx2,
         cpu_fma: cpu.fma,
         kernels,
+        activations,
         batch_scoring,
         divergence_failures: failures,
     };
@@ -527,7 +671,7 @@ fn main() {
 
     if failures > 0 {
         eprintln!(
-            "{failures} divergence failure(s); blocked/SIMD/parallel kernels must match the naive scalar oracle bit-for-bit"
+            "{failures} divergence failure(s); blocked/SIMD/parallel kernels and transcendental lanes must match their scalar oracles bit-for-bit"
         );
         std::process::exit(1);
     }

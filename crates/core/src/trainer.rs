@@ -901,6 +901,42 @@ mod tests {
     }
 
     #[test]
+    fn one_nan_gate_bias_trips_the_skip_guard_at_every_simd_level() {
+        // A single NaN forget-gate bias must reach the loss through the
+        // lane-exact sigmoid. A vector clamp with its min/max operands the
+        // wrong way round turns NaN into a finite bound, and training would
+        // silently carry on with a poisoned weight. `with_level` forces the
+        // calling thread; pool workers run the configured level, which the
+        // suite's `NER_SIMD=off` and `NER_SIMD=sse2` runs in CI vary.
+        use ner_tensor::simd::{self, SimdLevel};
+        let gen = NewsGenerator::new(GeneratorConfig::default());
+        let mut levels = vec![SimdLevel::Off, simd::configured()];
+        levels.dedup();
+        for lvl in levels {
+            let mut rng = StdRng::seed_from_u64(11);
+            let ds = gen.dataset(&mut rng, 6);
+            let enc = SentenceEncoder::from_dataset(&ds, TagScheme::Bio, 1);
+            let train_enc = enc.encode_dataset(&ds, None);
+            let mut model = NerModel::new(quick_cfg(), &enc, None, &mut rng);
+            let b = model
+                .store
+                .ids()
+                .find(|&id| model.store.name(id).ends_with(".l0.fw.b"))
+                .expect("forward LSTM bias");
+            let hidden = model.store.value(b).cols() / 4;
+            model.store.value_mut(b).data_mut()[hidden] = f32::NAN;
+            let cfg = TrainConfig { epochs: 1, patience: None, ..Default::default() };
+            let report =
+                simd::with_level(lvl, || train(&mut model, &train_enc, None, &cfg, &mut rng));
+            assert_eq!(report.epochs[0].skipped_updates, train_enc.len(), "at {}", lvl.name());
+            assert!(
+                model.store.value(b).data()[hidden].is_nan(),
+                "the poisoned bias was not updated"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "training set is empty")]
     fn empty_training_set_rejected() {
         let gen = NewsGenerator::new(GeneratorConfig::default());

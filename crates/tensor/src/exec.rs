@@ -708,34 +708,19 @@ impl Exec for FusedExec<'_> {
         self.push(out)
     }
 
-    // The same scalar expressions the tape's expanded gate chain computes,
-    // associated identically: cₙ = f·c + i·g, h = o·tanh(cₙ).
+    // The lane kernels compute the tape's expanded gate chain per unit:
+    // cₙ = f·c + i·g, h = o·tanh(cₙ), on the same activations.
     fn lstm_gates(&mut self, pre: FusedVal, c: FusedVal, hidden: usize) -> (FusedVal, FusedVal) {
-        let (h_new, c_new) = {
-            let (pv, cv) = (self.tensor(pre), self.tensor(c));
-            assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
-            let mut h_new = Tensor::zeros_pooled(1, hidden);
-            let mut c_new = Tensor::zeros_pooled(1, hidden);
-            let p = pv.row(0);
-            let c_prev = cv.row(0);
-            for j in 0..hidden {
-                let i = Activation::Sigmoid.eval(p[j]);
-                let f = Activation::Sigmoid.eval(p[hidden + j]);
-                let g = Activation::Tanh.eval(p[2 * hidden + j]);
-                let o = Activation::Sigmoid.eval(p[3 * hidden + j]);
-                let cn = f * c_prev[j] + i * g;
-                c_new.row_mut(0)[j] = cn;
-                h_new.row_mut(0)[j] = o * cn.tanh();
-            }
-            (h_new, c_new)
-        };
-        let h = self.push(h_new);
-        let c = self.push(c_new);
-        (h, c)
+        let (pv, cv) = (self.tensor(pre), self.tensor(c));
+        assert_eq!(pv.shape(), (1, 4 * hidden), "lstm_gates pre-activation shape");
+        let mut h_new = Tensor::zeros_pooled(1, hidden);
+        let mut c_new = fused::pooled_copy(cv);
+        simd::lstm_cell(pv.data(), c_new.data_mut(), h_new.data_mut(), None);
+        (self.push(h_new), self.push(c_new))
     }
 
-    // h' = (n − z⊙n) + z⊙h, associated exactly as the tape's
-    // sub-then-add chain.
+    // h' = (n − z⊙n) + z⊙h, associated exactly as the tape's sub-then-add
+    // chain (see `simd::gru_cell`).
     fn gru_gates(
         &mut self,
         xp: FusedVal,
@@ -743,19 +728,10 @@ impl Exec for FusedExec<'_> {
         h_prev: FusedVal,
         hidden: usize,
     ) -> FusedVal {
-        let out = {
-            let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
-            assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
-            let mut out = Tensor::zeros_pooled(1, hidden);
-            let (x, h, hp_row) = (xv.row(0), hv.row(0), prev.row(0));
-            for j in 0..hidden {
-                let z = Activation::Sigmoid.eval(x[j] + h[j]);
-                let r = Activation::Sigmoid.eval(x[hidden + j] + h[hidden + j]);
-                let nj = (x[2 * hidden + j] + r * h[2 * hidden + j]).tanh();
-                out.row_mut(0)[j] = (nj - z * nj) + z * hp_row[j];
-            }
-            out
-        };
+        let (xv, hv, prev) = (self.tensor(xp), self.tensor(hp), self.tensor(h_prev));
+        assert_eq!(xv.shape(), (1, 3 * hidden), "gru_gates projection shape");
+        let mut out = Tensor::zeros_pooled(1, hidden);
+        simd::gru_cell(xv.data(), hv.data(), prev.data(), out.data_mut(), None);
         self.push(out)
     }
 
@@ -773,8 +749,8 @@ impl Exec for FusedExec<'_> {
     }
 
     // Batched override: one `[n, 4h]` input projection for the whole
-    // sequence instead of n `[1, 4h]` matmuls, and the gate sweep runs in
-    // place with no per-step slot bookkeeping. Per output element the
+    // sequence instead of n `[1, 4h]` matmuls, then the shared one-segment
+    // sweep with no per-step slot bookkeeping. Per output element the
     // accumulation order equals the per-step chain's (row-wise matmul is
     // the same sweep; `(x + h) + b` is the tape's add-then-add_bias
     // association), so the floats are bit-identical to the default.
@@ -787,46 +763,15 @@ impl Exec for FusedExec<'_> {
         hidden: usize,
         xs: FusedVal,
     ) -> FusedVal {
-        let out = {
-            let xsv = self.tensor(xs);
-            let n = xsv.rows();
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b = store.value(b);
-            let xp = xsv.matmul(store.value(w_ih)); // [n, 4h]
-            let mut out = Tensor::zeros_pooled(n, h);
-            let mut hstate = Tensor::zeros(1, h);
-            let mut c = vec![0.0f32; h];
-            let mut pre = vec![0.0f32; 4 * h];
-            // The pre-activation build `(x + h) + b` runs across SIMD
-            // lanes (same two-add sequence per element); the gate sweep
-            // below is transcendental-bound and stays scalar for
-            // bit-identity with the tape chain.
-            let lvl = simd::active();
-            for t in 0..n {
-                let hp = hstate.matmul(w_hh); // [1, 4h]
-                simd::add3(lvl, &mut pre, xp.row(t), hp.data(), b.data());
-                fused::recycle(hp);
-                let out_row = out.row_mut(t);
-                for j in 0..h {
-                    let i = Activation::Sigmoid.eval(pre[j]);
-                    let f = Activation::Sigmoid.eval(pre[h + j]);
-                    let g = Activation::Tanh.eval(pre[2 * h + j]);
-                    let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                    let cn = f * c[j] + i * g;
-                    c[j] = cn;
-                    out_row[j] = o * cn.tanh();
-                }
-                hstate.row_mut(0).copy_from_slice(out.row(t));
-            }
-            fused::recycle(xp);
-            out
-        };
+        let xsv = self.tensor(xs);
+        let pk = Packing::new(&[xsv.rows()]);
+        let xp = xsv.matmul(store.value(w_ih)); // [n, 4h]
+        let out = lstm_packed(&pk, &xp, store.value(w_hh), store.value(b), hidden, None);
+        fused::recycle(xp);
         self.push(out)
     }
 
-    // Batched override, same contract as `lstm_sequence`: per-element
-    // float order matches the per-step chain exactly.
+    // Batched override, same contract as `lstm_sequence`.
     fn gru_sequence(
         &mut self,
         store: &ParamStore,
@@ -837,39 +782,160 @@ impl Exec for FusedExec<'_> {
         hidden: usize,
         xs: FusedVal,
     ) -> FusedVal {
-        let out = {
-            let xsv = self.tensor(xs);
-            let n = xsv.rows();
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b_hh = store.value(b_hh);
-            let mut xp = xsv.matmul(store.value(w_ih)); // [n, 3h]
-            fused::add_bias_in_place(&mut xp, store.value(b_ih));
-            let mut out = Tensor::zeros_pooled(n, h);
-            let mut hstate = Tensor::zeros(1, h);
-            for t in 0..n {
-                let mut hp = hstate.matmul(w_hh); // [1, 3h]
-                fused::add_bias_in_place(&mut hp, b_hh);
-                let x_row = xp.row(t);
-                let h_row = hp.data();
-                let h_prev = hstate.data();
-                let out_row = out.row_mut(t);
-                for j in 0..h {
-                    let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                    let r = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                    let nj = (x_row[2 * h + j] + r * h_row[2 * h + j]).tanh();
-                    // h' = (n − z⊙n) + z⊙h, associated exactly as the
-                    // tape's sub-then-add chain.
-                    out_row[j] = (nj - z * nj) + z * h_prev[j];
-                }
-                hstate.row_mut(0).copy_from_slice(out.row(t));
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
-        };
+        let xsv = self.tensor(xs);
+        let pk = Packing::new(&[xsv.rows()]);
+        let mut xp = xsv.matmul(store.value(w_ih)); // [n, 3h]
+        fused::add_bias_in_place(&mut xp, store.value(b_ih));
+        let out = gru_packed(&pk, &xp, store.value(w_hh), store.value(b_hh), hidden, None);
+        fused::recycle(xp);
         self.push(out)
     }
+}
+
+/// Where each segment's rows sit in a packed `[N, d]` batch, and the
+/// longest-first order the recurrent sweeps walk it in.
+#[derive(Clone)]
+struct Packing {
+    /// Per-segment lengths, caller order.
+    lens: Vec<usize>,
+    /// Packed row offset of each segment, caller order.
+    offsets: Vec<usize>,
+    /// Segment indices sorted longest-first (ties by index, so the
+    /// ordering — and therefore every float — is deterministic).
+    order: Vec<usize>,
+    /// `lens[order[p]]` — descending.
+    sorted_lens: Vec<usize>,
+    /// Total packed rows, `Σ lens`.
+    total: usize,
+}
+
+impl Packing {
+    fn new(lens: &[usize]) -> Self {
+        let mut offsets = Vec::with_capacity(lens.len());
+        let mut total = 0;
+        for &l in lens {
+            offsets.push(total);
+            total += l;
+        }
+        let mut order: Vec<usize> = (0..lens.len()).collect();
+        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
+        let sorted_lens = order.iter().map(|&s| lens[s]).collect();
+        Packing { lens: lens.to_vec(), offsets, order, sorted_lens, total }
+    }
+
+    /// How many segments are still alive (length > `t`) at timestep `t`.
+    /// Sorted longest-first, the live set is always the prefix
+    /// `order[..live_at(t)]`.
+    fn live_at(&self, t: usize) -> usize {
+        self.sorted_lens.partition_point(|&l| l > t)
+    }
+
+    /// Packed row of the segment at sorted position `p`, timestep `t`.
+    fn row_at(&self, p: usize, t: usize) -> usize {
+        self.offsets[self.order[p]] + t
+    }
+}
+
+/// Keeps the first `live` rows of the recurrent state: the live prefix only
+/// ever shrinks, so a segment's sorted position is stable for its lifetime.
+fn shrink_state(state: &mut Tensor, live: usize) {
+    if live < state.rows() {
+        let cols = state.cols();
+        *state = Tensor::from_vec(live, cols, state.data()[..live * cols].to_vec());
+    }
+}
+
+/// Post-activation values of an LSTM pass kept for the tape backward, all
+/// in packed row order.
+struct LstmStash {
+    /// `i | f | g | o` after their activations, `[N, 4h]`.
+    gates: Tensor,
+    /// `c` after each update, `[N, h]`.
+    cells: Tensor,
+    /// `tanh(c)`, `[N, h]`.
+    cts: Tensor,
+}
+
+/// The one LSTM forward every backend runs: given the input projection
+/// `xp [N, 4h]`, one `[live, 4h]` recurrent GEMM per timestep over the
+/// segments still alive, the `(x + h) + b` pre-activation build, and the
+/// [`simd::lstm_cell`] gate kernel per row. The kernels keep every output
+/// element's accumulation order independent of GEMM height, so a row's
+/// floats do not depend on which other segments share its batch — a
+/// sentence alone is the one-segment case.
+fn lstm_packed(
+    pk: &Packing,
+    xp: &Tensor,
+    w_hh: &Tensor,
+    b: &Tensor,
+    h: usize,
+    mut stash: Option<&mut LstmStash>,
+) -> Tensor {
+    let mut out = Tensor::zeros_pooled(pk.total, h);
+    let nseg = pk.order.len();
+    let mut hstate = Tensor::zeros(nseg, h);
+    let mut c = vec![0.0f32; nseg * h];
+    let mut pre = vec![0.0f32; 4 * h];
+    let lvl = simd::active();
+    for t in 0..pk.sorted_lens[0] {
+        let live = pk.live_at(t);
+        shrink_state(&mut hstate, live);
+        let hp = hstate.matmul(w_hh); // [live, 4h]
+        for p in 0..live {
+            let r = pk.row_at(p, t);
+            simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
+            let cs = &mut c[p * h..(p + 1) * h];
+            let rows = stash.as_deref_mut().map(|s| (s.gates.row_mut(r), s.cts.row_mut(r)));
+            simd::lstm_cell(&pre, cs, out.row_mut(r), rows);
+            if let Some(s) = stash.as_deref_mut() {
+                s.cells.row_mut(r).copy_from_slice(cs);
+            }
+            hstate.row_mut(p).copy_from_slice(out.row(r));
+        }
+        fused::recycle(hp);
+    }
+    out
+}
+
+/// Post-activation values of a GRU pass kept for the tape backward.
+struct GruStash {
+    /// `z | r | n` after their activations, `[N, 3h]`.
+    gates: Tensor,
+    /// The recurrent `n`-projection after its bias, `[N, h]`.
+    hns: Tensor,
+}
+
+/// The one GRU forward every backend runs, on the bias-added input
+/// projection `xp [N, 3h]`; same live-prefix schedule and height-independence
+/// argument as [`lstm_packed`], with [`simd::gru_cell`] per row.
+fn gru_packed(
+    pk: &Packing,
+    xp: &Tensor,
+    w_hh: &Tensor,
+    b_hh: &Tensor,
+    h: usize,
+    mut stash: Option<&mut GruStash>,
+) -> Tensor {
+    let mut out = Tensor::zeros_pooled(pk.total, h);
+    let mut hstate = Tensor::zeros(pk.order.len(), h);
+    for t in 0..pk.sorted_lens[0] {
+        let live = pk.live_at(t);
+        shrink_state(&mut hstate, live);
+        let mut hp = hstate.matmul(w_hh); // [live, 3h]
+        fused::add_bias_in_place(&mut hp, b_hh);
+        for p in 0..live {
+            let r = pk.row_at(p, t);
+            let h_row = hp.row(p);
+            let gates = stash.as_deref_mut().map(|s| {
+                s.hns.row_mut(r).copy_from_slice(&h_row[2 * h..]);
+                s.gates.row_mut(r)
+            });
+            simd::gru_cell(xp.row(r), h_row, hstate.row(p), out.row_mut(r), gates);
+            hstate.row_mut(p).copy_from_slice(out.row(r));
+        }
+        fused::recycle(hp);
+    }
+    out
 }
 
 /// The cross-sentence batched inference backend: evaluates a whole batch of
@@ -900,11 +966,12 @@ impl Exec for FusedExec<'_> {
 ///
 /// **Float-parity contract.** The kernels in `crate::kernels` keep the
 /// per-output-element accumulation order independent of how many rows a
-/// GEMM has, and the gate sweeps here are the same scalar expressions as
-/// the per-sentence [`FusedExec`] overrides, so every packed output row is
-/// **bit-identical** to the row the per-sentence path produces — not just
-/// tag-identical (`ner-core/tests/prop_batched.rs` pins this across the
-/// model zoo).
+/// GEMM has, and every backend's recurrent pass is the one live-prefix
+/// sweep (`lstm_packed`/`gru_packed`) over the lane-exact
+/// [`simd::lstm_cell`]/[`simd::gru_cell`] kernels, so every packed output
+/// row is **bit-identical** to the row the per-sentence path produces —
+/// not just tag-identical (`ner-core/tests/prop_batched.rs` pins this
+/// across the model zoo).
 ///
 /// Operations whose inputs are *not* packed token rows (per-word character
 /// matrices, per-segment attention scores, greedy decoder steps) must run
@@ -912,17 +979,7 @@ impl Exec for FusedExec<'_> {
 /// one slot space, so handles interchange freely.
 pub struct BatchedExec<'a> {
     inner: FusedExec<'a>,
-    /// Per-segment lengths, caller order. Every length is ≥ 1.
-    lens: Vec<usize>,
-    /// Packed row offset of each segment, caller order.
-    offsets: Vec<usize>,
-    /// Segment indices sorted longest-first (ties by index, so the
-    /// ordering — and therefore every float — is deterministic).
-    order: Vec<usize>,
-    /// `lens[order[p]]` — descending.
-    sorted_lens: Vec<usize>,
-    /// Total packed rows, `Σ lens`.
-    total: usize,
+    pk: Packing,
     /// Inside a [`PackedExec::scoped`] call: packed overrides stand down
     /// and delegate to the inner per-sentence backend, because the values
     /// in flight are per-segment tensors, not packed rows.
@@ -938,24 +995,7 @@ impl<'a> BatchedExec<'a> {
     pub fn new(store: &'a ParamStore, lens: &[usize]) -> Self {
         assert!(!lens.is_empty(), "BatchedExec needs at least one segment");
         assert!(lens.iter().all(|&l| l > 0), "BatchedExec segments must be non-empty");
-        let mut offsets = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &l in lens {
-            offsets.push(total);
-            total += l;
-        }
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
-        let sorted_lens = order.iter().map(|&s| lens[s]).collect();
-        BatchedExec {
-            inner: FusedExec::new(store),
-            lens: lens.to_vec(),
-            offsets,
-            order,
-            sorted_lens,
-            total,
-            in_scope: false,
-        }
+        BatchedExec { inner: FusedExec::new(store), pk: Packing::new(lens), in_scope: false }
     }
 
     /// Serves positional encodings from `cache` instead of recomputing.
@@ -966,22 +1006,22 @@ impl<'a> BatchedExec<'a> {
 
     /// Number of segments (sentences) in the batch.
     pub fn segments(&self) -> usize {
-        self.lens.len()
+        self.pk.lens.len()
     }
 
     /// Length of segment `s`.
     pub fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
+        self.pk.lens[s]
     }
 
     /// Packed row offset of segment `s`.
     pub fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
+        self.pk.offsets[s]
     }
 
     /// Total packed rows across all segments.
     pub fn total_rows(&self) -> usize {
-        self.total
+        self.pk.total
     }
 
     /// The inner per-sentence backend, for operations on tensors that are
@@ -993,15 +1033,8 @@ impl<'a> BatchedExec<'a> {
     /// Copies segment `s` out of a packed `[N, d]` value as its own
     /// `[len_of(s), d]` value.
     pub fn slice_segment(&mut self, v: FusedVal, s: usize) -> FusedVal {
-        let (off, len) = (self.offsets[s], self.lens[s]);
+        let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
         Exec::slice_rows(&mut self.inner, v, off, len)
-    }
-
-    /// How many segments are still alive (length > `t`) at timestep `t`.
-    /// Sorted longest-first, the live set is always the prefix
-    /// `order[..live_at(t)]`.
-    fn live_at(&self, t: usize) -> usize {
-        self.sorted_lens.partition_point(|&l| l > t)
     }
 }
 
@@ -1079,16 +1112,21 @@ impl Exec for BatchedExec<'_> {
             let xv = self.inner.tensor(x);
             let wv = self.inner.tensor(w);
             let bv = self.inner.tensor(b);
-            assert_eq!(xv.rows(), self.total, "BatchedExec::conv1d_act expects packed token rows");
+            assert_eq!(
+                xv.rows(),
+                self.pk.total,
+                "BatchedExec::conv1d_act expects packed token rows"
+            );
             let mut out: Option<Tensor> = None;
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
+            for s in 0..self.pk.lens.len() {
+                let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
                 let mut seg = Tensor::zeros_pooled(len, xv.cols());
                 for r in 0..len {
                     seg.row_mut(r).copy_from_slice(xv.row(off + r));
                 }
                 let res = fused::conv1d_act(&seg, wv, bv, k, dilation, act);
-                let dst = out.get_or_insert_with(|| Tensor::zeros_pooled(self.total, res.cols()));
+                let dst =
+                    out.get_or_insert_with(|| Tensor::zeros_pooled(self.pk.total, res.cols()));
                 for r in 0..len {
                     dst.row_mut(off + r).copy_from_slice(res.row(r));
                 }
@@ -1142,12 +1180,12 @@ impl Exec for BatchedExec<'_> {
             let av = self.inner.tensor(a);
             assert_eq!(
                 av.rows(),
-                self.total,
+                self.pk.total,
                 "BatchedExec::reverse_rows expects packed token rows"
             );
-            let mut out = Tensor::zeros_pooled(self.total, av.cols());
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
+            let mut out = Tensor::zeros_pooled(self.pk.total, av.cols());
+            for s in 0..self.pk.lens.len() {
+                let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
                 for r in 0..len {
                     out.row_mut(off + r).copy_from_slice(av.row(off + len - 1 - r));
                 }
@@ -1177,11 +1215,11 @@ impl Exec for BatchedExec<'_> {
         if self.in_scope || PackedExec::segments(self) <= 1 {
             return self.inner.positional_encoding(n, d);
         }
-        assert_eq!(n, self.total, "BatchedExec::positional_encoding expects packed token rows");
+        assert_eq!(n, self.pk.total, "BatchedExec::positional_encoding expects packed token rows");
         let out = {
             let mut out = Tensor::zeros_pooled(n, d);
-            for s in 0..self.lens.len() {
-                let (off, len) = (self.offsets[s], self.lens[s]);
+            for s in 0..self.pk.lens.len() {
+                let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
                 match self.inner.pe {
                     Some(cache) => {
                         let pe = cache.get(len, d);
@@ -1203,13 +1241,9 @@ impl Exec for BatchedExec<'_> {
         self.inner.push(out)
     }
 
-    // One `[N, 4h]` input projection for the whole batch, then one
-    // `[live, 4h]` recurrent GEMM per timestep shared by every sentence
-    // still alive at that timestep. Per live row the recurrent product,
-    // the `(x + h) + b` association, and the gate sweep are exactly the
-    // per-sentence override's — the kernels keep per-output-element
-    // accumulation order independent of GEMM height, so every output row
-    // is bit-identical to scoring its sentence alone.
+    // One `[N, 4h]` input projection for the whole batch, then the shared
+    // live-prefix sweep: every output row is bit-identical to scoring its
+    // sentence alone (see `lstm_packed`).
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
@@ -1219,70 +1253,22 @@ impl Exec for BatchedExec<'_> {
         hidden: usize,
         xs: FusedVal,
     ) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
+        if self.in_scope {
             return self.inner.lstm_sequence(store, w_ih, w_hh, b, hidden, xs);
         }
-        let out = {
-            let xsv = self.inner.tensor(xs);
-            assert_eq!(
-                xsv.rows(),
-                self.total,
-                "BatchedExec::lstm_sequence expects packed token rows"
-            );
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b = store.value(b);
-            let xp = xsv.matmul(store.value(w_ih)); // [N, 4h]
-            let mut out = Tensor::zeros_pooled(self.total, h);
-            let nseg = self.order.len();
-            let max_len = self.sorted_lens[0];
-            // Hidden/cell state per sorted position; the live prefix only
-            // ever shrinks, so positions are stable for a segment's whole
-            // lifetime.
-            let mut hstate = Tensor::zeros(nseg, h);
-            let mut c = vec![0.0f32; nseg * h];
-            let mut pre = vec![0.0f32; 4 * h];
-            let lvl = simd::active();
-            let mut live = nseg;
-            for t in 0..max_len {
-                let new_live = self.live_at(t);
-                if new_live < live {
-                    // Shrink the recurrent GEMM to the rows still alive.
-                    let mut shrunk = Tensor::zeros(new_live, h);
-                    for p in 0..new_live {
-                        shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                    }
-                    hstate = shrunk;
-                    live = new_live;
-                }
-                let hp = hstate.matmul(w_hh); // [live, 4h]
-                for p in 0..live {
-                    let r = self.offsets[self.order[p]] + t;
-                    simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b.data());
-                    let cs = &mut c[p * h..(p + 1) * h];
-                    let out_row = out.row_mut(r);
-                    for j in 0..h {
-                        let i = Activation::Sigmoid.eval(pre[j]);
-                        let f = Activation::Sigmoid.eval(pre[h + j]);
-                        let g = Activation::Tanh.eval(pre[2 * h + j]);
-                        let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                        let cn = f * cs[j] + i * g;
-                        cs[j] = cn;
-                        out_row[j] = o * cn.tanh();
-                    }
-                    hstate.row_mut(p).copy_from_slice(out.row(r));
-                }
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
-        };
+        let xsv = self.inner.tensor(xs);
+        assert_eq!(
+            xsv.rows(),
+            self.pk.total,
+            "BatchedExec::lstm_sequence expects packed token rows"
+        );
+        let xp = xsv.matmul(store.value(w_ih)); // [N, 4h]
+        let out = lstm_packed(&self.pk, &xp, store.value(w_hh), store.value(b), hidden, None);
+        fused::recycle(xp);
         self.inner.push(out)
     }
 
-    // Batched override, same contract as `lstm_sequence`: one recurrent
-    // GEMM per timestep over the live prefix, per-element float order
-    // identical to the per-sentence sweep.
+    // Batched override, same contract as `lstm_sequence`.
     fn gru_sequence(
         &mut self,
         store: &ParamStore,
@@ -1293,80 +1279,38 @@ impl Exec for BatchedExec<'_> {
         hidden: usize,
         xs: FusedVal,
     ) -> FusedVal {
-        if self.in_scope || PackedExec::segments(self) <= 1 {
+        if self.in_scope {
             return self.inner.gru_sequence(store, w_ih, w_hh, b_ih, b_hh, hidden, xs);
         }
-        let out = {
-            let xsv = self.inner.tensor(xs);
-            assert_eq!(
-                xsv.rows(),
-                self.total,
-                "BatchedExec::gru_sequence expects packed token rows"
-            );
-            let h = hidden;
-            let w_hh = store.value(w_hh);
-            let b_hh = store.value(b_hh);
-            let mut xp = xsv.matmul(store.value(w_ih)); // [N, 3h]
-            fused::add_bias_in_place(&mut xp, store.value(b_ih));
-            let mut out = Tensor::zeros_pooled(self.total, h);
-            let nseg = self.order.len();
-            let max_len = self.sorted_lens[0];
-            let mut hstate = Tensor::zeros(nseg, h);
-            let mut live = nseg;
-            for t in 0..max_len {
-                let new_live = self.live_at(t);
-                if new_live < live {
-                    let mut shrunk = Tensor::zeros(new_live, h);
-                    for p in 0..new_live {
-                        shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                    }
-                    hstate = shrunk;
-                    live = new_live;
-                }
-                let mut hp = hstate.matmul(w_hh); // [live, 3h]
-                fused::add_bias_in_place(&mut hp, b_hh);
-                for p in 0..live {
-                    let r = self.offsets[self.order[p]] + t;
-                    let x_row = xp.row(r);
-                    let h_row = hp.row(p);
-                    let out_row = out.row_mut(r);
-                    {
-                        let h_prev = hstate.row(p);
-                        for j in 0..h {
-                            let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                            let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                            let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
-                            // h' = (n − z⊙n) + z⊙h, associated exactly as
-                            // the tape's sub-then-add chain.
-                            out_row[j] = (nj - z * nj) + z * h_prev[j];
-                        }
-                    }
-                    hstate.row_mut(p).copy_from_slice(out.row(r));
-                }
-                fused::recycle(hp);
-            }
-            fused::recycle(xp);
-            out
-        };
+        let xsv = self.inner.tensor(xs);
+        assert_eq!(
+            xsv.rows(),
+            self.pk.total,
+            "BatchedExec::gru_sequence expects packed token rows"
+        );
+        let mut xp = xsv.matmul(store.value(w_ih)); // [N, 3h]
+        fused::add_bias_in_place(&mut xp, store.value(b_ih));
+        let out = gru_packed(&self.pk, &xp, store.value(w_hh), store.value(b_hh), hidden, None);
+        fused::recycle(xp);
         self.inner.push(out)
     }
 }
 
 impl PackedExec for BatchedExec<'_> {
     fn segments(&self) -> usize {
-        self.lens.len()
+        self.pk.lens.len()
     }
 
     fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
+        self.pk.lens[s]
     }
 
     fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
+        self.pk.offsets[s]
     }
 
     fn total_rows(&self) -> usize {
-        self.total
+        self.pk.total
     }
 
     fn slice_segment(&mut self, v: FusedVal, s: usize) -> FusedVal {
@@ -1422,16 +1366,7 @@ fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
 /// (pinned by `kernels::tests`).
 pub struct BatchedTapeExec<'t> {
     tape: &'t mut Tape,
-    /// Per-segment lengths, caller order. Every length is ≥ 1.
-    lens: Vec<usize>,
-    /// Packed row offset of each segment, caller order.
-    offsets: Vec<usize>,
-    /// Segment indices sorted longest-first (ties by index).
-    order: Vec<usize>,
-    /// `lens[order[p]]` — descending.
-    sorted_lens: Vec<usize>,
-    /// Total packed rows, `Σ lens`.
-    total: usize,
+    pk: Packing,
     /// `Some(s)` inside a [`PackedExec::scoped`] call: every operation
     /// delegates to the raw per-sentence tape chain, tagged with segment
     /// `s` for gradient routing.
@@ -1448,29 +1383,7 @@ impl<'t> BatchedTapeExec<'t> {
     pub fn new(tape: &'t mut Tape, lens: &[usize]) -> Self {
         assert!(!lens.is_empty(), "BatchedTapeExec needs at least one segment");
         assert!(lens.iter().all(|&l| l > 0), "BatchedTapeExec segments must be non-empty");
-        let mut offsets = Vec::with_capacity(lens.len());
-        let mut total = 0;
-        for &l in lens {
-            offsets.push(total);
-            total += l;
-        }
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(lens[s]));
-        let sorted_lens = order.iter().map(|&s| lens[s]).collect();
-        BatchedTapeExec {
-            tape,
-            lens: lens.to_vec(),
-            offsets,
-            order,
-            sorted_lens,
-            total,
-            scope: None,
-        }
-    }
-
-    /// How many segments are still alive (length > `t`) at timestep `t`.
-    fn live_at(&self, t: usize) -> usize {
-        self.sorted_lens.partition_point(|&l| l > t)
+        BatchedTapeExec { tape, pk: Packing::new(lens), scope: None }
     }
 
     /// Inverted dropout over the packed rows, one RNG stream per segment:
@@ -1484,15 +1397,15 @@ impl<'t> BatchedTapeExec<'t> {
         if p == 0.0 {
             return a;
         }
-        assert_eq!(rngs.len(), self.lens.len(), "one RNG stream per segment");
+        assert_eq!(rngs.len(), self.pk.lens.len(), "one RNG stream per segment");
         let v = self.tape.value(a);
-        assert_eq!(v.rows(), self.total, "dropout_packed expects packed token rows");
+        assert_eq!(v.rows(), self.pk.total, "dropout_packed expects packed token rows");
         let cols = v.cols();
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let mut mask: Vec<f32> = Vec::with_capacity(self.total * cols);
+        let mut mask: Vec<f32> = Vec::with_capacity(self.pk.total * cols);
         for (s, rng) in rngs.iter_mut().enumerate() {
-            let n = self.lens[s] * cols;
+            let n = self.pk.lens[s] * cols;
             mask.extend((0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }));
         }
         let mut out = v.clone();
@@ -1519,7 +1432,7 @@ impl<'t> BatchedTapeExec<'t> {
 
     /// Clones of the layout vectors for capture in backward closures.
     fn layout(&self) -> (Vec<usize>, Vec<usize>) {
-        (self.lens.clone(), self.offsets.clone())
+        (self.pk.lens.clone(), self.pk.offsets.clone())
     }
 }
 
@@ -1541,7 +1454,7 @@ impl Exec for BatchedTapeExec<'_> {
     // its segment tag — an unscoped non-packed lookup would panic in the
     // segmented backward, by design.
     fn lookup(&mut self, store: &ParamStore, id: ParamId, ids: &[usize]) -> Var {
-        if self.scope.is_some() || ids.len() != self.total {
+        if self.scope.is_some() || ids.len() != self.pk.total {
             return self.tape.param_rows(store, id, ids);
         }
         let (lens, offsets) = self.layout();
@@ -1568,7 +1481,7 @@ impl Exec for BatchedTapeExec<'_> {
     fn matmul(&mut self, a: Var, b: Var) -> Var {
         if self.scope.is_none() {
             if let Some(id) = self.tape.param_id_of(b) {
-                if self.tape.value(a).rows() == self.total {
+                if self.tape.value(a).rows() == self.pk.total {
                     let (lens, offsets) = self.layout();
                     let va = self.tape.value(a).clone();
                     let vb = self.tape.value(b).clone();
@@ -1619,7 +1532,7 @@ impl Exec for BatchedTapeExec<'_> {
     fn add_bias(&mut self, m: Var, bias: Var) -> Var {
         if self.scope.is_none() {
             if let Some(id) = self.tape.param_id_of(bias) {
-                if self.tape.value(m).rows() == self.total {
+                if self.tape.value(m).rows() == self.pk.total {
                     let (lens, offsets) = self.layout();
                     let vb = self.tape.value(bias).clone();
                     let mut out = self.tape.value(m).clone();
@@ -1682,7 +1595,7 @@ impl Exec for BatchedTapeExec<'_> {
         act: Activation,
     ) -> Var {
         let packed = self.scope.is_none()
-            && self.tape.value(x).rows() == self.total
+            && self.tape.value(x).rows() == self.pk.total
             && self.tape.param_id_of(w).is_some()
             && self.tape.param_id_of(b).is_some();
         if !packed {
@@ -1702,7 +1615,7 @@ impl Exec for BatchedTapeExec<'_> {
         assert_eq!(vb.shape(), (1, d_out), "bias shape must be [1, d_out]");
         let half = (k / 2) as isize;
 
-        let mut out = Tensor::zeros(self.total, d_out);
+        let mut out = Tensor::zeros(self.pk.total, d_out);
         for s in 0..lens.len() {
             let (off, len) = (offsets[s], lens[s]);
             for t in 0..len as isize {
@@ -1727,7 +1640,7 @@ impl Exec for BatchedTapeExec<'_> {
             }
         }
 
-        let total = self.total;
+        let total = self.pk.total;
         let conv = self.tape.custom_segmented(OpClass::Conv, out, &[x, w, b], move |g, em| {
             let mut gx = Tensor::zeros(total, d_in);
             for s in 0..lens.len() {
@@ -1773,7 +1686,7 @@ impl Exec for BatchedTapeExec<'_> {
     // each segment's gain/bias sums run over its own rows, ascending.
     fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
         let packed = self.scope.is_none()
-            && self.tape.value(x).rows() == self.total
+            && self.tape.value(x).rows() == self.pk.total
             && self.tape.param_id_of(gain).is_some()
             && self.tape.param_id_of(bias).is_some();
         if !packed {
@@ -1868,10 +1781,10 @@ impl Exec for BatchedTapeExec<'_> {
             return Tape::reverse_rows(self.tape, a);
         }
         let av = self.tape.value(a);
-        assert_eq!(av.rows(), self.total, "reverse_rows expects packed token rows");
+        assert_eq!(av.rows(), self.pk.total, "reverse_rows expects packed token rows");
         let (lens, offsets) = self.layout();
         let cols = av.cols();
-        let total = self.total;
+        let total = self.pk.total;
         let mut out = Tensor::zeros(total, cols);
         for s in 0..lens.len() {
             let (off, len) = (offsets[s], lens[s]);
@@ -1905,10 +1818,10 @@ impl Exec for BatchedTapeExec<'_> {
         if self.scope.is_some() {
             return Exec::positional_encoding(&mut *self.tape, n, d);
         }
-        assert_eq!(n, self.total, "positional_encoding expects packed token rows");
+        assert_eq!(n, self.pk.total, "positional_encoding expects packed token rows");
         let mut out = Tensor::zeros(n, d);
-        for s in 0..self.lens.len() {
-            let (off, len) = (self.offsets[s], self.lens[s]);
+        for s in 0..self.pk.lens.len() {
+            let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
             let pe = crate::nn::positional_encoding(len, d);
             for r in 0..len {
                 out.row_mut(off + r).copy_from_slice(pe.row(r));
@@ -1941,7 +1854,7 @@ impl Exec for BatchedTapeExec<'_> {
         }
         let h = hidden;
         let xsv = self.tape.value(xs);
-        assert_eq!(xsv.rows(), self.total, "lstm_sequence expects packed token rows");
+        assert_eq!(xsv.rows(), self.pk.total, "lstm_sequence expects packed token rows");
         let d_in = xsv.cols();
         let xs_c = xsv.clone();
         let w_ih_v = store.value(w_ih).clone();
@@ -1949,63 +1862,18 @@ impl Exec for BatchedTapeExec<'_> {
         let b_v = store.value(b).clone();
 
         let xp = xs_c.matmul(&w_ih_v); // [N, 4h]
-        let total = self.total;
-        let mut out = Tensor::zeros(total, h);
-        let mut gates = Tensor::zeros(total, 4 * h); // i | f | g | o, post-activation
-        let mut cells = Tensor::zeros(total, h); // c after the update
-        let mut cts = Tensor::zeros(total, h); // tanh(c)
-        let nseg = self.order.len();
-        let max_len = self.sorted_lens[0];
-        let mut hstate = Tensor::zeros(nseg, h);
-        let mut c = vec![0.0f32; nseg * h];
-        let mut pre = vec![0.0f32; 4 * h];
-        let lvl = simd::active();
-        let mut live = nseg;
-        for t in 0..max_len {
-            let new_live = self.live_at(t);
-            if new_live < live {
-                let mut shrunk = Tensor::zeros(new_live, h);
-                for p in 0..new_live {
-                    shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                }
-                hstate = shrunk;
-                live = new_live;
-            }
-            let hp = hstate.matmul(&w_hh_v); // [live, 4h]
-            for p in 0..live {
-                let r = self.offsets[self.order[p]] + t;
-                simd::add3(lvl, &mut pre, xp.row(r), hp.row(p), b_v.data());
-                let cs = &mut c[p * h..(p + 1) * h];
-                let out_row = out.row_mut(r);
-                let gates_row = gates.row_mut(r);
-                let cells_row = cells.row_mut(r);
-                let cts_row = cts.row_mut(r);
-                for j in 0..h {
-                    let i = Activation::Sigmoid.eval(pre[j]);
-                    let f = Activation::Sigmoid.eval(pre[h + j]);
-                    let g = Activation::Tanh.eval(pre[2 * h + j]);
-                    let o = Activation::Sigmoid.eval(pre[3 * h + j]);
-                    let cn = f * cs[j] + i * g;
-                    cs[j] = cn;
-                    gates_row[j] = i;
-                    gates_row[h + j] = f;
-                    gates_row[2 * h + j] = g;
-                    gates_row[3 * h + j] = o;
-                    cells_row[j] = cn;
-                    let ctv = cn.tanh();
-                    cts_row[j] = ctv;
-                    out_row[j] = o * ctv;
-                }
-                hstate.row_mut(p).copy_from_slice(out.row(r));
-            }
-            fused::recycle(hp);
-        }
+        let total = self.pk.total;
+        let mut stash = LstmStash {
+            gates: Tensor::zeros(total, 4 * h),
+            cells: Tensor::zeros(total, h),
+            cts: Tensor::zeros(total, h),
+        };
+        let out = lstm_packed(&self.pk, &xp, &w_hh_v, &b_v, h, Some(&mut stash));
         fused::recycle(xp);
 
         let out_c = out.clone();
-        let (lens, offsets) = self.layout();
-        let order = self.order.clone();
-        let sorted_lens = self.sorted_lens.clone();
+        let LstmStash { gates, cells, cts } = stash;
+        let Packing { lens, offsets, order, sorted_lens, .. } = self.pk.clone();
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
             let nseg = lens.len();
             let mut db: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 4 * h)).collect();
@@ -2104,7 +1972,7 @@ impl Exec for BatchedTapeExec<'_> {
         }
         let h = hidden;
         let xsv = self.tape.value(xs);
-        assert_eq!(xsv.rows(), self.total, "gru_sequence expects packed token rows");
+        assert_eq!(xsv.rows(), self.pk.total, "gru_sequence expects packed token rows");
         let d_in = xsv.cols();
         let xs_c = xsv.clone();
         let w_ih_v = store.value(w_ih).clone();
@@ -2114,56 +1982,15 @@ impl Exec for BatchedTapeExec<'_> {
 
         let mut xp = xs_c.matmul(&w_ih_v); // [N, 3h]
         fused::add_bias_in_place(&mut xp, &b_ih_v);
-        let total = self.total;
-        let mut out = Tensor::zeros(total, h);
-        let mut gates = Tensor::zeros(total, 3 * h); // z | r | n, post-activation
-        let mut hns = Tensor::zeros(total, h); // recurrent n-projection, post-bias
-        let nseg = self.order.len();
-        let max_len = self.sorted_lens[0];
-        let mut hstate = Tensor::zeros(nseg, h);
-        let mut live = nseg;
-        for t in 0..max_len {
-            let new_live = self.live_at(t);
-            if new_live < live {
-                let mut shrunk = Tensor::zeros(new_live, h);
-                for p in 0..new_live {
-                    shrunk.row_mut(p).copy_from_slice(hstate.row(p));
-                }
-                hstate = shrunk;
-                live = new_live;
-            }
-            let mut hp = hstate.matmul(&w_hh_v); // [live, 3h]
-            fused::add_bias_in_place(&mut hp, &b_hh_v);
-            for p in 0..live {
-                let r = self.offsets[self.order[p]] + t;
-                let x_row = xp.row(r);
-                let h_row = hp.row(p);
-                let out_row = out.row_mut(r);
-                let gates_row = gates.row_mut(r);
-                let hns_row = hns.row_mut(r);
-                {
-                    let h_prev = hstate.row(p);
-                    for j in 0..h {
-                        let z = Activation::Sigmoid.eval(x_row[j] + h_row[j]);
-                        let rr = Activation::Sigmoid.eval(x_row[h + j] + h_row[h + j]);
-                        let nj = (x_row[2 * h + j] + rr * h_row[2 * h + j]).tanh();
-                        out_row[j] = (nj - z * nj) + z * h_prev[j];
-                        gates_row[j] = z;
-                        gates_row[h + j] = rr;
-                        gates_row[2 * h + j] = nj;
-                        hns_row[j] = h_row[2 * h + j];
-                    }
-                }
-                hstate.row_mut(p).copy_from_slice(out.row(r));
-            }
-            fused::recycle(hp);
-        }
+        let total = self.pk.total;
+        let mut stash =
+            GruStash { gates: Tensor::zeros(total, 3 * h), hns: Tensor::zeros(total, h) };
+        let out = gru_packed(&self.pk, &xp, &w_hh_v, &b_hh_v, h, Some(&mut stash));
         fused::recycle(xp);
 
         let out_c = out.clone();
-        let (lens, offsets) = self.layout();
-        let order = self.order.clone();
-        let sorted_lens = self.sorted_lens.clone();
+        let GruStash { gates, hns } = stash;
+        let Packing { lens, offsets, order, sorted_lens, .. } = self.pk.clone();
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
             let nseg = lens.len();
             let mut db_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
@@ -2285,23 +2112,23 @@ fn gru_chain_on_tape(
 
 impl PackedExec for BatchedTapeExec<'_> {
     fn segments(&self) -> usize {
-        self.lens.len()
+        self.pk.lens.len()
     }
 
     fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
+        self.pk.lens[s]
     }
 
     fn offset_of(&self, s: usize) -> usize {
-        self.offsets[s]
+        self.pk.offsets[s]
     }
 
     fn total_rows(&self) -> usize {
-        self.total
+        self.pk.total
     }
 
     fn slice_segment(&mut self, v: Var, s: usize) -> Var {
-        let (off, len) = (self.offsets[s], self.lens[s]);
+        let (off, len) = (self.pk.offsets[s], self.pk.lens[s]);
         Tape::slice_rows(self.tape, v, off, len)
     }
 

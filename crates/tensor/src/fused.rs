@@ -9,11 +9,12 @@
 //!
 //! **Determinism contract.** Every fused kernel applies its extra stages
 //! only *after* the underlying accumulation has fully finished, touching
-//! each element exactly once with the same scalar function the tape ops
-//! use. The per-element accumulation order of the matmul/convolution is
-//! untouched, so fused and unfused results are bit-identical (see
-//! DESIGN.md) — the property `tests/prop_fused.rs` checks at 1/2/4
-//! threads.
+//! each element exactly once with the same function the tape ops use — for
+//! `tanh`/`sigmoid` the repo's own lane-exact [`simd::tanh`] and
+//! [`simd::sigmoid`], which give the same bits at every SIMD level. The
+//! per-element accumulation order of the matmul/convolution is untouched,
+//! so fused and unfused results are bit-identical (see DESIGN.md) — the
+//! property `tests/prop_fused.rs` checks at 1/2/4 threads.
 
 use crate::{pool, simd, Tensor};
 
@@ -24,9 +25,9 @@ pub enum Activation {
     None,
     /// `v.max(0.0)`, exactly as `Tape::relu`.
     Relu,
-    /// `f32::tanh`, exactly as `Tape::tanh`.
+    /// [`simd::tanh`], exactly as `Tape::tanh`.
     Tanh,
-    /// `1 / (1 + e^{-v})`, exactly as `Tape::sigmoid`.
+    /// [`simd::sigmoid`] (`1 / (1 + e^{-v})`), exactly as `Tape::sigmoid`.
     Sigmoid,
 }
 
@@ -38,27 +39,22 @@ impl Activation {
         match self {
             Activation::None => v,
             Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Activation::Tanh => simd::tanh(v),
+            Activation::Sigmoid => simd::sigmoid(v),
         }
     }
 
-    /// Applies the activation elementwise in place.
-    ///
-    /// `Relu` runs across [`simd`] lanes (`MAXPS` with the value as first
-    /// operand reproduces scalar `v.max(0.0)` bit-for-bit, including the
-    /// NaN and `-0.0` cases — pinned by a unit test in `simd.rs`); `Tanh`
-    /// and `Sigmoid` are transcendental and stay scalar so the bits match
-    /// the tape ops exactly.
+    /// Applies the activation elementwise in place, across [`simd`] lanes:
+    /// `MAXPS` with the value as first operand reproduces scalar
+    /// `v.max(0.0)` bit-for-bit (including NaN and `-0.0`), and the
+    /// `tanh`/`sigmoid` lanes repeat [`eval`](Activation::eval)'s operation
+    /// sequence — both pinned by unit tests in `simd.rs`.
     pub fn apply(self, t: &mut Tensor) {
         match self {
             Activation::None => {}
             Activation::Relu => simd::relu_in_place(simd::active(), t.data_mut()),
-            Activation::Tanh | Activation::Sigmoid => {
-                for v in t.data_mut() {
-                    *v = self.eval(*v);
-                }
-            }
+            Activation::Tanh => simd::tanh_in_place(t.data_mut()),
+            Activation::Sigmoid => simd::sigmoid_in_place(t.data_mut()),
         }
     }
 }

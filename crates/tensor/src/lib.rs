@@ -29,8 +29,9 @@
 //! element is preserved exactly, so serial and parallel results are
 //! bit-identical), runtime-dispatched [`simd`] lane kernels (`NER_SIMD`,
 //! SSE2/AVX2) whose lanes are independent output elements accumulating in
-//! scalar order — bit-identical by construction, checked against the scalar
-//! oracle — a thread-local [`pool`] of `Vec<f32>` buffers that tape nodes
+//! scalar order, with the repo's own `exp`/`sigmoid`/`tanh` built from
+//! basic IEEE operations — bit-identical by construction, checked against
+//! the scalar oracle — a thread-local [`pool`] of `Vec<f32>` buffers that tape nodes
 //! recycle on drop, and a [`GradBuffer`] sink that lets data-parallel
 //! trainers backpropagate without mutable access to shared parameters.
 //!

@@ -1,6 +1,6 @@
 //! Elementwise arithmetic, broadcasting bias addition and nonlinearities.
 
-use crate::{OpClass, Tape, Tensor, Var};
+use crate::{simd, OpClass, Tape, Tensor, Var};
 
 impl Tape {
     /// Elementwise `a + b` (same shape).
@@ -84,9 +84,11 @@ impl Tape {
         })
     }
 
-    /// Hyperbolic tangent, elementwise.
+    /// Hyperbolic tangent, elementwise ([`simd::tanh`], lane-exact at every
+    /// SIMD level).
     pub fn tanh(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(f32::tanh);
+        let mut out = self.value(a).clone();
+        simd::tanh_in_place(out.data_mut());
         let y = out.clone();
         self.custom_in_class(OpClass::Elementwise, out, &[a], move |g| {
             let mut ga = g.clone();
@@ -97,9 +99,11 @@ impl Tape {
         })
     }
 
-    /// Logistic sigmoid, elementwise.
+    /// Logistic sigmoid, elementwise ([`simd::sigmoid`], lane-exact at
+    /// every SIMD level).
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let out = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let mut out = self.value(a).clone();
+        simd::sigmoid_in_place(out.data_mut());
         let y = out.clone();
         self.custom_in_class(OpClass::Elementwise, out, &[a], move |g| {
             let mut ga = g.clone();
