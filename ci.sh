@@ -20,8 +20,11 @@
 #   6. training smoke   (exp_train --smoke at 1 and 4 threads exits
 #      non-zero if the batched packed-autograd trainer's loss curve
 #      diverges in any f64 bit from the per-sentence oracle under the
-#      shared bucketed schedule; zoo-wide final-weight/F1 bit-identity
-#      is covered by ner-core's train_parity suite in step 3)
+#      shared bucketed schedule; run again at NER_SIMD=off and
+#      NER_SIMD=sse2, since the packed recurrent backward's GEMMs lean on
+#      the TN/NT lane kernels matching scalar at every width; zoo-wide
+#      final-weight/F1 bit-identity is covered by ner-core's
+#      train_parity suite in step 3)
 #   7. prometheus lint  (the /metrics exposition must have typed, unique
 #      families with cumulative histogram buckets)
 #   8. serving smoke    (serve integration tests — including the request
@@ -84,6 +87,12 @@ NER_THREADS=1 cargo run --release -p ner-bench --bin exp_train -- --smoke
 
 echo "== training smoke: batched trainer must reproduce the per-sentence oracle (NER_THREADS=4) =="
 NER_THREADS=4 cargo run --release -p ner-bench --bin exp_train -- --smoke
+
+echo "== training smoke with SIMD forced off (NER_SIMD=off) =="
+NER_SIMD=off cargo run --release -p ner-bench --bin exp_train -- --smoke
+
+echo "== training smoke at 4-lane width (NER_SIMD=sse2) =="
+NER_SIMD=sse2 cargo run --release -p ner-bench --bin exp_train -- --smoke
 
 echo "== prometheus lint: /metrics families must be typed, unique, cumulative =="
 cargo test --release -p ner-serve --lib -q prometheus

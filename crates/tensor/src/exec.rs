@@ -23,7 +23,7 @@
 //! accumulation order.
 
 use crate::fused::{self, Activation};
-use crate::{pool, simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
+use crate::{kernels, pool, simd, OpClass, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -1339,6 +1339,41 @@ fn rows_of(t: &Tensor, off: usize, len: usize) -> Tensor {
     out
 }
 
+/// Rows `[off, off + len)` of `t` bottom-up, into a pooled `[len, cols]`
+/// scratch tensor: a segment's rows in the descending-`t` order its BPTT
+/// sweep visits them.
+fn rows_reversed(t: &Tensor, off: usize, len: usize) -> Tensor {
+    let mut out = Tensor::zeros_pooled(len, t.cols());
+    for q in 0..len {
+        out.row_mut(q).copy_from_slice(t.row(off + len - 1 - q));
+    }
+    out
+}
+
+/// `aᵀ·d` over the first `k` rows of both, into a fresh unpooled
+/// `[a.cols, d.cols]` gradient: element by element the ascending-row fold
+/// of `x·d` products (zero `x` skipped) the oracle's per-row `[1, ·]`
+/// products made.
+fn tn_grad(a: &Tensor, d: &Tensor, k: usize) -> Tensor {
+    let (m, n) = (a.cols(), d.cols());
+    let mut out = Tensor::zeros(m, n);
+    if k > 0 {
+        kernels::matmul_tn(&a.data()[..k * m], &d.data()[..k * n], out.data_mut(), k, m, n);
+    }
+    out
+}
+
+/// Column sums of `rows`, top row first, into a fresh unpooled `[1, cols]`
+/// gradient.
+fn col_sum(rows: &Tensor) -> Tensor {
+    let lvl = simd::active();
+    let mut out = Tensor::zeros(1, rows.cols());
+    for q in 0..rows.rows() {
+        simd::add_in_place(lvl, out.data_mut(), rows.row(q));
+    }
+    out
+}
+
 /// The batched **training** backend: records autograd nodes over the same
 /// packed, length-sorted `[N, d]` layout [`BatchedExec`] uses for
 /// inference, on a caller-provided [`Tape`].
@@ -1491,11 +1526,14 @@ impl Exec for BatchedTapeExec<'_> {
                         out,
                         &[a, b],
                         move |g, em| {
+                            let (k, n) = (va.cols(), g.cols());
                             for s in 0..lens.len() {
                                 let (off, len) = (offsets[s], lens[s]);
-                                let xs = rows_of(&va, off, len);
-                                let gs = rows_of(g, off, len);
-                                em.dense(s, id, xs.matmul_tn(&gs));
+                                let xs = &va.data()[off * k..(off + len) * k];
+                                let gs = &g.data()[off * n..(off + len) * n];
+                                let mut dw = Tensor::zeros(k, n);
+                                kernels::matmul_tn(xs, gs, dw.data_mut(), len, k, n);
+                                em.dense(s, id, dw);
                             }
                             vec![Some(g.matmul_nt(&vb)), None]
                         },
@@ -1721,6 +1759,7 @@ impl Exec for BatchedTapeExec<'_> {
 
         self.tape.custom_segmented(OpClass::Norm, out, &[x, gain, bias], move |g, em| {
             let mut gx = Tensor::zeros(n, d);
+            let mut dxhat = vec![0.0f32; d];
             for s in 0..lens.len() {
                 let (off, len) = (offsets[s], lens[s]);
                 let mut ggain = Tensor::zeros(1, d);
@@ -1728,8 +1767,9 @@ impl Exec for BatchedTapeExec<'_> {
                 for r in off..off + len {
                     let grow = g.row(r);
                     let xhrow = xhat.row(r);
-                    let dxhat: Vec<f32> =
-                        grow.iter().zip(vg.row(0)).map(|(&gv, &gn)| gv * gn).collect();
+                    for (o, (&gv, &gn)) in dxhat.iter_mut().zip(grow.iter().zip(vg.row(0))) {
+                        *o = gv * gn;
+                    }
                     let mean_dxhat: f32 = dxhat.iter().sum::<f32>() / d as f32;
                     let mean_dxhat_xhat: f32 =
                         dxhat.iter().zip(xhrow).map(|(&a, &b)| a * b).sum::<f32>() / d as f32;
@@ -1837,9 +1877,13 @@ impl Exec for BatchedTapeExec<'_> {
     // hand-rolled BPTT over the same packing. The backward's fold orders
     // mirror the per-sentence tape sweep: `dh` is the output gradient plus
     // the recurrent term, `dc` is the carry (from t+1's `f⊙c` node, visited
-    // first) plus the tanh term, and each segment's `db`/`dW_hh`/`dW_ih`
-    // accumulate per timestep, descending, through the same `matmul_tn`
-    // kernel calls the oracle's `[1, ·]` nodes made.
+    // first) plus the tanh term. Only that sweep is sequential: it fills
+    // one packed `[N, 4h]` gate-gradient matrix and runs the recurrent
+    // `[live, 4h]·W_hhᵀ` per timestep against a `W_hhᵀ` packed once. `dX`
+    // is then one full-height GEMM, and each segment's `db`/`dW_hh`/`dW_ih`
+    // one column sum / `matmul_tn` over its rows in the descending-`t`
+    // order the oracle's per-timestep `[1, ·]` nodes folded them in
+    // (DESIGN.md "Batched training" gives the bit-identity argument).
     fn lstm_sequence(
         &mut self,
         store: &ParamStore,
@@ -1873,28 +1917,23 @@ impl Exec for BatchedTapeExec<'_> {
 
         let out_c = out.clone();
         let LstmStash { gates, cells, cts } = stash;
-        let Packing { lens, offsets, order, sorted_lens, .. } = self.pk.clone();
+        let pk = self.pk.clone();
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
-            let nseg = lens.len();
-            let mut db: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 4 * h)).collect();
-            let mut dw_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(h, 4 * h)).collect();
-            let mut dw_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(d_in, 4 * h)).collect();
-            let mut dxs = Tensor::zeros(total, d_in);
+            let nseg = pk.lens.len();
+            let mut dpre = Tensor::zeros_pooled(total, 4 * h);
+            let mut step = vec![0.0f32; nseg * 4 * h];
             let mut rec = vec![0.0f32; nseg * h];
             let mut carry = vec![0.0f32; nseg * h];
-            let zero_h = vec![0.0f32; h];
-            let max_len = sorted_lens[0];
-            for t in (0..max_len).rev() {
-                let live = sorted_lens.partition_point(|&l| l > t);
-                let live_next = sorted_lens.partition_point(|&l| l > t + 1);
-                let mut dpre_mat = Tensor::zeros(live, 4 * h);
+            let w_hh_t = w_hh_v.transposed(); // [4h, h]
+            for t in (0..pk.sorted_lens[0]).rev() {
+                let live = pk.live_at(t);
+                let live_next = pk.live_at(t + 1);
                 for p in 0..live {
-                    let s = order[p];
-                    let r = offsets[s] + t;
+                    let r = pk.row_at(p, t);
                     let g_row = g.row(r);
                     let gates_row = gates.row(r);
                     let cts_row = cts.row(r);
-                    let dpre_row = dpre_mat.row_mut(p);
+                    let dpre_row = &mut step[p * 4 * h..(p + 1) * 4 * h];
                     for j in 0..h {
                         // dOut first (set by concat), then the t+1
                         // recurrent matmul's contribution.
@@ -1920,34 +1959,43 @@ impl Exec for BatchedTapeExec<'_> {
                         dpre_row[2 * h + j] = dg * (1.0 - gg * gg);
                         dpre_row[3 * h + j] = do_ * (o * (1.0 - o));
                     }
-                    // Per-segment parameter gradients via the oracle's own
-                    // kernel calls on [1, ·] shapes.
-                    let dpre_t = Tensor::row_vector(dpre_mat.row(p));
-                    db[s].add_scaled(&dpre_t, 1.0);
-                    let h_prev = if t > 0 {
-                        Tensor::row_vector(out_c.row(r - 1))
-                    } else {
-                        Tensor::row_vector(&zero_h)
-                    };
-                    dw_hh[s].add_scaled(&h_prev.matmul_tn(&dpre_t), 1.0);
-                    let x_row = Tensor::row_vector(xs_c.row(r));
-                    dw_ih[s].add_scaled(&x_row.matmul_tn(&dpre_t), 1.0);
+                    dpre.row_mut(r).copy_from_slice(dpre_row);
                 }
-                let dx_mat = dpre_mat.matmul_nt(&w_ih_v); // [live, d_in]
-                let rec_mat = dpre_mat.matmul_nt(&w_hh_v); // [live, h]
-                for p in 0..live {
-                    let r = offsets[order[p]] + t;
-                    dxs.row_mut(r).copy_from_slice(dx_mat.row(p));
-                    rec[p * h..(p + 1) * h].copy_from_slice(rec_mat.row(p));
+                if t > 0 {
+                    let rec_live = &mut rec[..live * h];
+                    rec_live.fill(0.0);
+                    let step_live = &step[..live * 4 * h];
+                    kernels::matmul_nt_prepacked(
+                        step_live,
+                        w_hh_v.data(),
+                        w_hh_t.data(),
+                        rec_live,
+                        live,
+                        4 * h,
+                        h,
+                    );
                 }
             }
-            for (s, ((dbs, dwhhs), dwihs)) in db.into_iter().zip(dw_hh).zip(dw_ih).enumerate() {
+            fused::recycle(w_hh_t);
+            let mut dxs = Tensor::zeros(total, d_in);
+            kernels::matmul_nt(dpre.data(), w_ih_v.data(), dxs.data_mut(), total, 4 * h, d_in);
+            for s in 0..nseg {
+                let (off, len) = (pk.offsets[s], pk.lens[s]);
+                let dr = rows_reversed(&dpre, off, len);
+                let xr = rows_reversed(&xs_c, off, len);
+                // h_prev of timesteps len-1..1; t = 0's is all zeros and
+                // every product with it is skipped.
+                let hr = rows_reversed(&out_c, off, len - 1);
                 // Oracle sink order: b leaf (latest) first, then w_hh,
                 // then w_ih.
-                em.dense(s, b, dbs);
-                em.dense(s, w_hh, dwhhs);
-                em.dense(s, w_ih, dwihs);
+                em.dense(s, b, col_sum(&dr));
+                em.dense(s, w_hh, tn_grad(&hr, &dr, len - 1));
+                em.dense(s, w_ih, tn_grad(&xr, &dr, len));
+                for scratch in [dr, xr, hr] {
+                    fused::recycle(scratch);
+                }
             }
+            fused::recycle(dpre);
             vec![Some(dxs)]
         })
     }
@@ -1956,7 +2004,10 @@ impl Exec for BatchedTapeExec<'_> {
     // folds three terms in oracle order — output gradient (set by concat),
     // then t+1's `z⊙h` product (later tape index, visited first), then
     // t+1's recurrent matmul — and `dz`/`dn` reproduce the `set-then-add`
-    // order of the gate chain's mul/sub nodes.
+    // order of the gate chain's mul/sub nodes. The sweep fills packed
+    // `[N, 3h]` gradients of the recurrent (`dhp`) and input (`dxp`)
+    // projections; `dX` and the per-segment parameter gradients follow as
+    // GEMMs and column sums, as in `lstm_sequence`.
     fn gru_sequence(
         &mut self,
         store: &ParamStore,
@@ -1990,31 +2041,25 @@ impl Exec for BatchedTapeExec<'_> {
 
         let out_c = out.clone();
         let GruStash { gates, hns } = stash;
-        let Packing { lens, offsets, order, sorted_lens, .. } = self.pk.clone();
+        let pk = self.pk.clone();
         self.tape.custom_segmented(OpClass::Custom, out, &[xs], move |g, em| {
-            let nseg = lens.len();
-            let mut db_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
-            let mut db_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(1, 3 * h)).collect();
-            let mut dw_hh: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(h, 3 * h)).collect();
-            let mut dw_ih: Vec<Tensor> = (0..nseg).map(|_| Tensor::zeros(d_in, 3 * h)).collect();
-            let mut dxs = Tensor::zeros(total, d_in);
+            let nseg = pk.lens.len();
+            let mut dhp = Tensor::zeros_pooled(total, 3 * h);
+            let mut dxp = Tensor::zeros_pooled(total, 3 * h);
+            let mut step = vec![0.0f32; nseg * 3 * h];
             let mut zh_term = vec![0.0f32; nseg * h];
             let mut mat_term = vec![0.0f32; nseg * h];
-            let zero_h = vec![0.0f32; h];
-            let max_len = sorted_lens[0];
-            for t in (0..max_len).rev() {
-                let live = sorted_lens.partition_point(|&l| l > t);
-                let live_next = sorted_lens.partition_point(|&l| l > t + 1);
-                let mut dhp_mat = Tensor::zeros(live, 3 * h);
-                let mut dxp_mat = Tensor::zeros(live, 3 * h);
+            let w_hh_t = w_hh_v.transposed(); // [3h, h]
+            for t in (0..pk.sorted_lens[0]).rev() {
+                let live = pk.live_at(t);
+                let live_next = pk.live_at(t + 1);
                 for p in 0..live {
-                    let s = order[p];
-                    let r = offsets[s] + t;
+                    let r = pk.row_at(p, t);
                     let g_row = g.row(r);
                     let gates_row = gates.row(r);
                     let hns_row = hns.row(r);
-                    let dhp_row = dhp_mat.row_mut(p);
-                    let dxp_row = dxp_mat.row_mut(p);
+                    let dhp_row = &mut step[p * 3 * h..(p + 1) * 3 * h];
+                    let dxp_row = dxp.row_mut(r);
                     for j in 0..h {
                         let dh = if p < live_next {
                             (g_row[j] + zh_term[p * h + j]) + mat_term[p * h + j]
@@ -2045,36 +2090,43 @@ impl Exec for BatchedTapeExec<'_> {
                         dxp_row[2 * h + j] = dn_pre;
                         zh_term[p * h + j] = dh * z;
                     }
-                    let dhp_t = Tensor::row_vector(dhp_mat.row(p));
-                    db_hh[s].add_scaled(&dhp_t, 1.0);
-                    let h_prev = if t > 0 {
-                        Tensor::row_vector(out_c.row(r - 1))
-                    } else {
-                        Tensor::row_vector(&zero_h)
-                    };
-                    dw_hh[s].add_scaled(&h_prev.matmul_tn(&dhp_t), 1.0);
-                    let dxp_t = Tensor::row_vector(dxp_mat.row(p));
-                    db_ih[s].add_scaled(&dxp_t, 1.0);
-                    let x_row = Tensor::row_vector(xs_c.row(r));
-                    dw_ih[s].add_scaled(&x_row.matmul_tn(&dxp_t), 1.0);
+                    dhp.row_mut(r).copy_from_slice(dhp_row);
                 }
-                let dx_mat = dxp_mat.matmul_nt(&w_ih_v); // [live, d_in]
-                let mt = dhp_mat.matmul_nt(&w_hh_v); // [live, h]
-                for p in 0..live {
-                    let r = offsets[order[p]] + t;
-                    dxs.row_mut(r).copy_from_slice(dx_mat.row(p));
-                    mat_term[p * h..(p + 1) * h].copy_from_slice(mt.row(p));
+                if t > 0 {
+                    let mt_live = &mut mat_term[..live * h];
+                    mt_live.fill(0.0);
+                    let step_live = &step[..live * 3 * h];
+                    kernels::matmul_nt_prepacked(
+                        step_live,
+                        w_hh_v.data(),
+                        w_hh_t.data(),
+                        mt_live,
+                        live,
+                        3 * h,
+                        h,
+                    );
                 }
             }
-            for (s, (((dbhhs, dbihs), dwhhs), dwihs)) in
-                db_hh.into_iter().zip(db_ih).zip(dw_hh).zip(dw_ih).enumerate()
-            {
+            fused::recycle(w_hh_t);
+            let mut dxs = Tensor::zeros(total, d_in);
+            kernels::matmul_nt(dxp.data(), w_ih_v.data(), dxs.data_mut(), total, 3 * h, d_in);
+            for s in 0..nseg {
+                let (off, len) = (pk.offsets[s], pk.lens[s]);
+                let dhr = rows_reversed(&dhp, off, len);
+                let dxr = rows_reversed(&dxp, off, len);
+                let xr = rows_reversed(&xs_c, off, len);
+                let hr = rows_reversed(&out_c, off, len - 1);
                 // Oracle sink order: b_hh, b_ih, w_hh, w_ih.
-                em.dense(s, b_hh, dbhhs);
-                em.dense(s, b_ih, dbihs);
-                em.dense(s, w_hh, dwhhs);
-                em.dense(s, w_ih, dwihs);
+                em.dense(s, b_hh, col_sum(&dhr));
+                em.dense(s, b_ih, col_sum(&dxr));
+                em.dense(s, w_hh, tn_grad(&hr, &dhr, len - 1));
+                em.dense(s, w_ih, tn_grad(&xr, &dxr, len));
+                for scratch in [dhr, dxr, xr, hr] {
+                    fused::recycle(scratch);
+                }
             }
+            fused::recycle(dhp);
+            fused::recycle(dxp);
             vec![Some(dxs)]
         })
     }
@@ -2549,26 +2601,165 @@ mod tests {
 
     #[test]
     fn packed_tape_handles_odd_length_mixes() {
-        // Single-sentence buckets, all-equal lengths, a dominant long
-        // sentence on either side — the packed paths must not stand down
-        // even when one segment makes the packing trivial.
-        let (d, h) = (3, 4);
+        // Single-sentence buckets, length-1 segments (no recurrent step,
+        // an empty `dW_hh` GEMM) alone and mixed, all-equal lengths (every
+        // timestep full), a dominant long sentence on either side — the
+        // packed paths must not stand down even when one segment makes
+        // the packing trivial.
+        for lens in [
+            &[4usize][..],
+            &[1][..],
+            &[3, 3, 3][..],
+            &[1, 1, 1, 1][..],
+            &[7, 1][..],
+            &[1, 7][..],
+            &[1, 4, 1][..],
+        ] {
+            let total: usize = lens.iter().sum();
+            check_recurrent_everywhere(lens, &filled(total, 3, 111));
+        }
+    }
+
+    /// Which packed recurrent node a fold-order case drives.
+    #[derive(Clone, Copy, Debug)]
+    enum Cell {
+        Lstm,
+        Gru,
+    }
+
+    /// Per-segment parameter gradients of `cell` over the packed input
+    /// `x` (looked up from an input table, so `dX` lands in the buffers
+    /// too), oracle vs packed, compared bit for bit segment by segment —
+    /// a NaN segment must not hide the other segments' bits, and within
+    /// it every element must be NaN exactly where the oracle's is. Only
+    /// the sign and payload of a NaN are free: x86 makes `inf·0` a
+    /// negative NaN, the backward's `−dh` flips it, and which NaN operand
+    /// an add returns is the compiler's choice (the per-timestep form had
+    /// the same freedom). Returns the packed per-segment gradients.
+    fn check_recurrent_case(cell: Cell, lens: &[usize], x: &Tensor) -> Vec<ParamStore> {
+        let (d, h) = (x.cols(), 5);
+        let gates = match cell {
+            Cell::Lstm => 4,
+            Cell::Gru => 3,
+        };
         let mut store = ParamStore::default();
-        let w_ih = store.register("w_ih", filled(d, 4 * h, 55));
-        let w_hh = store.register("w_hh", filled(h, 4 * h, 56));
-        let b = store.register("b", filled(1, 4 * h, 57));
-        for lens in
-            [&[4usize][..], &[1][..], &[3, 3, 3][..], &[1, 1, 1, 1][..], &[7, 1][..], &[1, 7][..]]
-        {
-            let (packed, segs) = pack(&store, lens, d, 111);
-            let oracle = run_oracle(&store, &segs, |t, _, xs| {
-                Exec::lstm_sequence(t, &store, w_ih, w_hh, b, h, xs)
-            });
-            let got = run_packed(&store, lens, |bx| {
-                let xs = bx.constant(packed.clone());
-                Exec::lstm_sequence(bx, &store, w_ih, w_hh, b, h, xs)
-            });
-            compare_grads(&store, &oracle, &got);
+        let table = store.register("x", x.clone());
+        let w_ih = store.register("w_ih", filled(d, gates * h, 91));
+        let w_hh = store.register("w_hh", filled(h, gates * h, 92));
+        let b = store.register("b", filled(1, gates * h, 93));
+        let b_hh = store.register("b_hh", filled(1, gates * h, 94));
+        let seq = |ex: &mut BatchedTapeExec<'_>, xs: Var| match cell {
+            Cell::Lstm => Exec::lstm_sequence(ex, &store, w_ih, w_hh, b, h, xs),
+            Cell::Gru => Exec::gru_sequence(ex, &store, w_ih, w_hh, b, b_hh, h, xs),
+        };
+        let seq_tape = |t: &mut Tape, xs: Var| match cell {
+            Cell::Lstm => Exec::lstm_sequence(t, &store, w_ih, w_hh, b, h, xs),
+            Cell::Gru => Exec::gru_sequence(t, &store, w_ih, w_hh, b, b_hh, h, xs),
+        };
+        let ids: Vec<usize> = (0..x.rows()).collect();
+
+        let mut oracle = Vec::new();
+        let mut off = 0;
+        for &l in lens {
+            let mut t = Tape::default();
+            let xs = Exec::lookup(&mut t, &store, table, &ids[off..off + l]);
+            let out = seq_tape(&mut t, xs);
+            let loss = t.sum(out);
+            let mut buf = GradBuffer::new(store.len());
+            t.backward_into(loss, &mut buf);
+            let mut st = store.clone();
+            buf.apply_to(&mut st);
+            oracle.push(st);
+            off += l;
+        }
+
+        let mut tape = Tape::default();
+        let loss = {
+            let mut bx = BatchedTapeExec::new(&mut tape, lens);
+            let xs = Exec::lookup(&mut bx, &store, table, &ids);
+            let out = seq(&mut bx, xs);
+            let mut total = None;
+            for s in 0..lens.len() {
+                let hs = bx.slice_segment(out, s);
+                let ls = bx.scoped(s, |ex| ex.tape_mut().sum(hs));
+                total = Some(match total {
+                    None => ls,
+                    Some(acc) => Exec::add(&mut bx, acc, ls),
+                });
+            }
+            total.expect("at least one segment")
+        };
+        let mut buffers: Vec<GradBuffer> =
+            (0..lens.len()).map(|_| GradBuffer::new(store.len())).collect();
+        tape.backward_into_segmented(loss, &mut buffers);
+        let mut packed = Vec::new();
+        for (s, (buf, want)) in buffers.into_iter().zip(&oracle).enumerate() {
+            let mut got = store.clone();
+            buf.apply_to(&mut got);
+            for id in store.ids() {
+                let name = format!("{cell:?} lens {lens:?} segment {s} {}", store.name(id));
+                let (a, b) = (want.grad(id).data(), got.grad(id).data());
+                let nan_pattern: Vec<bool> = a.iter().map(|v| v.is_nan()).collect();
+                assert_eq!(nan_pattern, b.iter().map(|v| v.is_nan()).collect::<Vec<_>>(), "{name}");
+                let keep = |v: &[f32]| -> Vec<f32> {
+                    v.iter().map(|&e| if e.is_nan() { 0.0 } else { e }).collect()
+                };
+                assert_grads_eq(&name, &keep(a), &keep(b));
+            }
+            packed.push(got);
+        }
+        packed
+    }
+
+    /// Runs `check_recurrent_case` for both cells at every SIMD level the
+    /// CPU supports: the per-segment `matmul_tn`, the full-height `dX`
+    /// and the pre-packed recurrent NT must match the oracle's per-row
+    /// kernel calls at each lane width.
+    fn check_recurrent_everywhere(lens: &[usize], x: &Tensor) {
+        let levels = [simd::SimdLevel::Off, simd::SimdLevel::Sse2, simd::SimdLevel::Avx2];
+        for lvl in levels.into_iter().filter(|&l| simd::is_supported(l)) {
+            for cell in [Cell::Lstm, Cell::Gru] {
+                simd::with_level(lvl, || {
+                    check_recurrent_case(cell, lens, x);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn packed_tape_recurrent_grads_keep_zero_input_rows_exact() {
+        // Exact-zero input rows, one mid-segment and one at a segment's
+        // t = 0: every `x·d` product of those rows is skipped by the
+        // per-segment GEMM exactly as by the oracle's per-row products.
+        let (mut x, _) = pack(&ParamStore::default(), LENS, 6, 121);
+        x.row_mut(2).fill(0.0);
+        x.row_mut(9).fill(0.0);
+        check_recurrent_everywhere(LENS, &x);
+    }
+
+    #[test]
+    fn packed_tape_recurrent_grads_propagate_nan_and_inf_like_the_oracle() {
+        // Segment 1 carries NaN, +inf and −inf, and an input column that
+        // is exactly zero on all its rows: the gradients it produces are
+        // NaN, but the zero column's `dW_ih` row must stay exactly zero
+        // (zero-skip, as in the oracle's per-row products) and the other
+        // segments must keep their bits.
+        let lens = [4usize, 3, 5];
+        let (mut x, _) = pack(&ParamStore::default(), &lens, 6, 123);
+        x.set2(4, 1, f32::NAN);
+        x.set2(5, 0, f32::INFINITY);
+        x.set2(6, 2, f32::NEG_INFINITY);
+        for r in 4..7 {
+            x.set2(r, 3, 0.0);
+        }
+        check_recurrent_everywhere(&lens, &x);
+        for cell in [Cell::Lstm, Cell::Gru] {
+            let got = check_recurrent_case(cell, &lens, &x);
+            let w_ih = got[1].grad(got[1].find("w_ih").expect("registered"));
+            assert!(w_ih.row(0).iter().any(|v| v.is_nan()), "{cell:?}: NaN reaches dW_ih");
+            assert!(w_ih.row(3).iter().all(|&v| v == 0.0), "{cell:?}: zero column skipped");
+            let clean = got[0].grad(got[0].find("w_ih").expect("registered"));
+            assert!(clean.all_finite(), "{cell:?}: other segments stay finite");
         }
     }
 

@@ -420,21 +420,40 @@ const NT_PACK_MIN_M: usize = 4;
 /// with `RB × JB` independent accumulators, which is where the historical
 /// ~2.5x NT-vs-NN GFLOPS gap came from.
 pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let lvl = simd::active();
     if m < NT_PACK_MIN_M {
         over_rows(m, n, m * k * n, out, |r0, r1, rows| matmul_nt_rows(a, b, rows, r0, r1, k, n));
         return;
     }
     let mut bt = pool::take_aligned(k * n);
     transpose(b, bt.as_mut_slice(), n, k);
-    let bts = bt.as_slice();
+    matmul_nt_prepacked(a, b, bt.as_slice(), out, m, k, n);
+    pool::recycle_aligned(bt);
+}
+
+/// [`matmul_nt`] over a caller-packed panel `bt = bᵀ: [k,n]` (see
+/// [`transpose`]), for callers that multiply many left operands against
+/// one `b` — the recurrent `[live, 4h]·W_hhᵀ` of a BPTT sweep packs
+/// `W_hhᵀ` once per sweep instead of once per timestep. Every height
+/// runs the register tiles: they reproduce the per-row dot kernel
+/// element for element, so the result is bit-identical to [`matmul_nt`]
+/// at every `m` and SIMD level.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_nt_prepacked(
+    a: &[f32],
+    b: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let lvl = simd::active();
     over_rows(m, n, m * k * n, out, |r0, r1, rows| {
-        if simd::nt_rows(lvl, a, b, bts, rows, r0, r1, k, n) {
+        if simd::nt_rows(lvl, a, b, bt, rows, r0, r1, k, n) {
             return;
         }
-        matmul_nt_rows_tiled(a, b, bts, rows, r0, r1, k, n)
+        matmul_nt_rows_tiled(a, b, bt, rows, r0, r1, k, n)
     });
-    pool::recycle_aligned(bt);
 }
 
 /// Tiled transpose of the `[rows, cols]` matrix `src` into the
@@ -616,6 +635,36 @@ mod tests {
                 got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "tn {k}x{m}x{n}"
             );
+        }
+    }
+
+    #[test]
+    fn prepacked_nt_is_bit_identical_to_matmul_nt_at_every_height_and_level() {
+        // Heights 1..=9 cross NT_PACK_MIN_M (below it `matmul_nt` runs the
+        // unpacked dot kernel) and the RB-row tile edge; k and n straddle
+        // the 4- and 8-lane widths. `ramp` holds exact zeros, and NT has
+        // no zero-skip, so they must still contribute their products.
+        let mut levels = vec![simd::SimdLevel::Off];
+        levels.extend(lane_levels());
+        for &(k, n) in &[(7usize, 5usize), (16, 9), (33, 17), (192, 48)] {
+            let b = ramp(n * k, 0.5); // [n, k]
+            let mut bt = vec![0.0f32; k * n];
+            transpose(&b, &mut bt, n, k);
+            for m in 1..=9 {
+                let a = ramp(m * k, 0.25);
+                for &lvl in &levels {
+                    simd::with_level(lvl, || {
+                        let mut want = vec![0.0f32; m * n];
+                        matmul_nt(&a, &b, &mut want, m, k, n);
+                        let mut got = vec![0.0f32; m * n];
+                        matmul_nt_prepacked(&a, &b, &bt, &mut got, m, k, n);
+                        assert!(
+                            got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "nt {m}x{k}x{n} {lvl:?}"
+                        );
+                    });
+                }
+            }
         }
     }
 

@@ -36,12 +36,14 @@ impl Tape {
             let mut gx = Tensor::zeros(n, d);
             let mut ggain = Tensor::zeros(1, d);
             let mut gbias = Tensor::zeros(1, d);
+            let mut dxhat = vec![0.0f32; d];
             for r in 0..n {
                 let grow = g.row(r);
                 let xhrow = xhat.row(r);
                 // dxhat = g ⊙ gain
-                let dxhat: Vec<f32> =
-                    grow.iter().zip(gain_c.row(0)).map(|(&gv, &gn)| gv * gn).collect();
+                for (o, (&gv, &gn)) in dxhat.iter_mut().zip(grow.iter().zip(gain_c.row(0))) {
+                    *o = gv * gn;
+                }
                 let mean_dxhat: f32 = dxhat.iter().sum::<f32>() / d as f32;
                 let mean_dxhat_xhat: f32 =
                     dxhat.iter().zip(xhrow).map(|(&a, &b)| a * b).sum::<f32>() / d as f32;
